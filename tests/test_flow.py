@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
 import curvediffusion as cd
 from curvediffusion import flow
-from conftest import ellipse_curve
+from conftest import ellipse_curve, moved
 
 RNG = np.random.default_rng(20260814)
 
@@ -94,6 +97,127 @@ def test_step_overflow_raises(lemniscate_512):
 def test_flow_spec_validation(kwargs):
     with pytest.raises(ValueError):
         cd.FlowSpec(**kwargs).validate()
+
+
+# ---------------------------------------------------------------------------
+# Structured IMEX solve
+
+
+def _unit_second_difference(n: int, closed: bool) -> np.ndarray:
+    """Dense S: cyclic [1, -2, 1] rows when closed, the N-2 interior rows when open."""
+    if closed:
+        eye = np.eye(n)
+        return np.roll(eye, -1, axis=1) - 2.0 * eye + np.roll(eye, 1, axis=1)
+    s = np.zeros((n - 2, n))
+    for i in range(n - 2):
+        s[i, i:i + 3] = [1.0, -2.0, 1.0]
+    return s
+
+
+@pytest.mark.parametrize("c", [0.5, 40.0])
+@pytest.mark.parametrize(
+    "n, closed",
+    [(8, True), (9, True), (64, True), (257, True), (8, False), (64, False), (257, False)],
+)
+def test_imex_solve_matches_dense(n, closed, c):
+    # Odd and even closed N exercise the rfft Nyquist handling. c stays where
+    # the dense reference's own round-off (~cond * eps) is below 1e-13.
+    s = _unit_second_difference(n, closed)
+    rhs = RNG.standard_normal((n, 2))
+    want = np.linalg.solve(np.eye(n) + c * s.T @ s, rhs)
+    got = flow._imex_solve(rhs, c, closed)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _dense_imex_step(curve: cd.DiscreteCurve, dt: float) -> np.ndarray:
+    """(I + dt D4) x_new = x + dt (v nu + D4 x), D4 = D2^T D2 at the mean spacing."""
+    f = cd.curve_fields(curve)
+    v = cd.normal_velocity(f, cd.CURVE_DIFFUSION)
+    h = cd.length(curve) / (curve.n if curve.closed else curve.n - 1)
+    d2 = _unit_second_difference(curve.n, curve.closed) / h**2
+    d4 = d2.T @ d2
+    rhs = curve.nodes + dt * (v[:, None] * f.normal + d4 @ curve.nodes)
+    return np.linalg.solve(np.eye(curve.n) + dt * d4, rhs)
+
+
+@pytest.mark.parametrize("name", ["lemniscate_512", "clothoid_512"])
+def test_semi_implicit_step_matches_dense_formula(name, request):
+    crv = request.getfixturevalue(name)
+    dt = cd.auto_dt(crv, cd.SEMI_IMPLICIT)
+    got = cd.step(crv, dt, cd.FlowSpec(dt=dt, t_end=1.0)).nodes
+    assert np.max(np.abs(got - _dense_imex_step(crv, dt))) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Invariance of a single step
+
+
+def _small_curve(closed: bool) -> cd.DiscreteCurve:
+    if closed:
+        return cd.sample_analytic(cd.Lemniscate(), 64)
+    return cd.sample_analytic(
+        cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=-1.0, s_max=1.0), 64
+    )
+
+
+@pytest.mark.parametrize("scheme", flow.SCHEMES)
+@pytest.mark.parametrize("closed", [True, False])
+@settings(max_examples=25, deadline=None)
+@given(
+    angle=st.floats(0.0, 2 * np.pi),
+    shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+)
+def test_step_equivariant_under_rigid_motion(closed, scheme, angle, shift):
+    crv = _small_curve(closed)
+    dt = cd.auto_dt(crv, scheme)
+    spec = cd.FlowSpec(scheme=scheme, dt=dt, t_end=1.0)
+    got = cd.step(moved(crv, angle, shift), dt, spec).nodes
+    want = moved(cd.step(crv, dt, spec), angle, shift).nodes
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("scheme", flow.SCHEMES)
+@pytest.mark.parametrize("closed", [True, False])
+@settings(max_examples=25, deadline=None)
+@given(rho=st.floats(0.25, 4.0))
+def test_step_equivariant_under_scaling(closed, scheme, rho):
+    # kappa_ss scales as rho^-3 and c = dt / h^4 is scale-free under dt -> rho^4 dt.
+    crv = _small_curve(closed)
+    dt = cd.auto_dt(crv, scheme)
+    got = cd.step(moved(crv, scale=rho), rho**4 * dt,
+                  cd.FlowSpec(scheme=scheme, dt=rho**4 * dt, t_end=1.0)).nodes
+    want = rho * cd.step(crv, dt, cd.FlowSpec(scheme=scheme, dt=dt, t_end=1.0)).nodes
+    assert np.max(np.abs(got - want)) <= 1e-12 * rho
+
+
+# ---------------------------------------------------------------------------
+# Numerical failures become terminations
+
+
+def _failing_solver(*args, **kwargs):
+    raise LinAlgError("not positive definite")
+
+
+def test_banded_solve_failure_raises(clothoid_512, monkeypatch):
+    monkeypatch.setattr(flow, "solveh_banded", _failing_solver)
+    with pytest.raises(cd.SolveFailure):
+        cd.step(clothoid_512, 1e-6, cd.FlowSpec(dt=1e-6, t_end=1.0))
+
+
+def test_evolve_reports_solve_failure(clothoid_512, monkeypatch):
+    monkeypatch.setattr(flow, "solveh_banded", _failing_solver)
+    traj = cd.evolve(clothoid_512, cd.FlowSpec(t_end=1e-4))
+    assert traj.termination == flow.TERM_SOLVE_FAILURE
+    assert traj.n_steps == 0
+
+
+def test_evolve_reports_non_finite(lemniscate_512, monkeypatch):
+    # Lift the envelope evolve enforces so that the first explicit step overflows.
+    monkeypatch.setattr(flow, "EXPLICIT_ENVELOPE", np.inf)
+    spec = cd.FlowSpec(scheme=cd.EXPLICIT, dt=1e308, t_end=1e308)
+    traj = cd.evolve(lemniscate_512, spec)
+    assert traj.termination == flow.TERM_NON_FINITE
+    assert traj.n_steps == 0
 
 
 # ---------------------------------------------------------------------------
