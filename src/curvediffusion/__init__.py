@@ -79,7 +79,6 @@ from .monitor import (
     isoperimetric_decay_check,
     isoperimetric_ratio,
     monitor_curves,
-    monitor_trajectory,
     time_bounds,
 )
 from .soliton import (

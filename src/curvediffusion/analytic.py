@@ -20,7 +20,7 @@ dependency so the values can be certified by Richardson extrapolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -341,52 +341,37 @@ _SPEC_KINDS = {
 
 def spec_to_dict(spec: AnalyticCurveSpec) -> dict:
     """JSON-ready dict with a `kind` discriminator."""
-    if isinstance(spec, Circle):
-        return {
-            "kind": "circle",
-            "radius": spec.radius,
-            "center": list(spec.center),
-            "orientation": spec.orientation,
-        }
-    if isinstance(spec, Lemniscate):
-        return {"kind": "lemniscate", "scale": spec.scale, "orientation": spec.orientation}
-    if isinstance(spec, FresnelFamily):
-        return {
-            "kind": "fresnel",
-            "c1": spec.c1,
-            "c2": spec.c2,
-            "theta": spec.theta,
-            "v": list(spec.v),
-            "s_min": spec.s_min,
-            "s_max": spec.s_max,
-            "orientation": spec.orientation,
-        }
-    if isinstance(spec, Line):
-        return {
-            "kind": "line",
-            "point": list(spec.point),
-            "direction": list(spec.direction),
-            "s_min": spec.s_min,
-            "s_max": spec.s_max,
-            "orientation": spec.orientation,
-        }
+    for kind, cls in _SPEC_KINDS.items():
+        if isinstance(spec, cls):
+            return {"kind": kind, **{key: list(value) if isinstance(value, tuple) else value
+                                     for key, value in asdict(spec).items()}}
     raise TypeError(f"unknown analytic spec {type(spec).__name__}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def spec_from_dict(data: dict) -> AnalyticCurveSpec:
-    """Inverse of spec_to_dict; raises ValueError on malformed input."""
+    """Inverse of spec_to_dict; raises ValueError on malformed input.
+
+    Every field must be a JSON number, or a pair of numbers for the
+    vector fields center, v, point and direction.
+    """
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("analytic spec JSON must be an object with a 'kind' field")
     kind = data["kind"]
-    if kind not in _SPEC_KINDS:
+    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
         raise ValueError(f"unknown analytic curve kind {kind!r}")
     fields = {k: v for k, v in data.items() if k != "kind"}
-    for key in ("center", "v", "point", "direction"):
-        if key in fields:
-            value = fields[key]
-            if not (isinstance(value, (list, tuple)) and len(value) == 2):
+    for key, value in fields.items():
+        if key in ("center", "v", "point", "direction"):
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(map(_is_number, value))):
                 raise ValueError(f"field {key!r} must be a pair of numbers")
             fields[key] = (float(value[0]), float(value[1]))
+        elif not _is_number(value):
+            raise ValueError(f"field {key!r} must be a number")
     try:
         return _SPEC_KINDS[kind](**fields)
     except TypeError as exc:

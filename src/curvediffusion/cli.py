@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import analytic, curve_io, flow, monitor, soliton
@@ -24,8 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="sample an analytic curve to CSV")
-    gen.add_argument("--kind", required=True,
-                     choices=["circle", "lemniscate", "fresnel", "line"])
+    gen.add_argument("--kind", required=True, choices=list(analytic._SPEC_KINDS))
     gen.add_argument("--nodes", type=int, default=256)
     gen.add_argument("--out", required=True)
     gen.add_argument("--orientation", type=int, choices=[1, -1], default=1)
@@ -38,8 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--theta", type=float, default=0.0, help="fresnel rotation")
     gen.add_argument("--v", type=float, nargs=2, default=[0.0, 0.0],
                      metavar=("X", "Y"), help="fresnel translation")
-    gen.add_argument("--smin", type=float, default=0.0)
-    gen.add_argument("--smax", type=float, default=1.0)
+    gen.add_argument("--smin", dest="s_min", type=float, default=0.0)
+    gen.add_argument("--smax", dest="s_max", type=float, default=1.0)
     gen.add_argument("--point", type=float, nargs=2, default=[0.0, 0.0],
                      metavar=("X", "Y"), help="line base point")
     gen.add_argument("--direction", type=float, nargs=2, default=[1.0, 0.0],
@@ -62,18 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> analytic.AnalyticCurveSpec:
-    if args.kind == "circle":
-        return analytic.Circle(radius=args.radius, center=tuple(args.center),
-                               orientation=args.orientation)
-    if args.kind == "lemniscate":
-        return analytic.Lemniscate(scale=args.scale, orientation=args.orientation)
-    if args.kind == "fresnel":
-        return analytic.FresnelFamily(c1=args.c1, c2=args.c2, theta=args.theta,
-                                      v=tuple(args.v), s_min=args.smin,
-                                      s_max=args.smax, orientation=args.orientation)
-    return analytic.Line(point=tuple(args.point), direction=tuple(args.direction),
-                         s_min=args.smin, s_max=args.smax,
-                         orientation=args.orientation)
+    cls = analytic._SPEC_KINDS[args.kind]
+    return analytic.spec_from_dict(
+        {"kind": args.kind, **{f.name: getattr(args, f.name) for f in fields(cls)}}
+    )
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -83,25 +75,37 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _number(data: dict, key: str, default) -> float | None:
+    """data[key], or default when absent, as a float. It must be a JSON
+    number; null is accepted only where the default is None."""
+    value = data.get(key, default)
+    if value is None and default is None:
+        return None
+    if not analytic._is_number(value):
+        raise ValueError(f"{key!r} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _typed(data: dict, key: str, default, kind: type):
+    """data[key], or default when absent, which must be a `kind` (str or bool)."""
+    value = data.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(f"{key!r} must be a {kind.__name__}, got {json.dumps(value)}")
+    return value
+
+
 def _parse_flow_config(data: dict) -> flow.FlowSpec:
     if not isinstance(data, dict):
         raise ValueError("'flow' must be a JSON object")
-    dt = data.get("dt")
-    if dt in (None, "auto"):
-        dt = None
-    else:
-        dt = float(dt)
     spec = flow.FlowSpec(
         kind=data.get("kind", flow.CURVE_DIFFUSION),
         scheme=data.get("scheme", flow.SEMI_IMPLICIT),
-        dt=dt,
-        t_end=float(data.get("t_end", 1.0)),
-        redistribute_every=int(data.get("redistribute_every", 10)),
-        snapshot_every=int(data.get("snapshot_every", 10)),
-        length_min=None if data.get("length_min") is None
-        else float(data["length_min"]),
-        min_spacing=None if data.get("min_spacing") is None
-        else float(data["min_spacing"]),
+        dt=None if data.get("dt") == "auto" else _number(data, "dt", None),
+        t_end=_number(data, "t_end", 1.0),
+        redistribute_every=int(_number(data, "redistribute_every", 10)),
+        snapshot_every=int(_number(data, "snapshot_every", 10)),
+        length_min=_number(data, "length_min", None),
+        min_spacing=_number(data, "min_spacing", None),
     )
     spec.validate()
     return spec
@@ -115,9 +119,9 @@ def _load_input_curve(data: dict):
     if has_path == has_spec:
         raise ValueError("'input' needs exactly one of 'path' or 'spec'")
     if has_path:
-        return curve_io.read_curve_csv(data["path"])
+        return curve_io.read_curve_csv(_typed(data, "path", None, str))
     spec = analytic.spec_from_dict(data["spec"])
-    nodes = int(data.get("nodes", 256))
+    nodes = int(_number(data, "nodes", 256))
     return analytic.sample_analytic(spec, nodes)
 
 
@@ -132,41 +136,40 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         if key not in config:
             raise ValueError(f"config is missing the {key!r} field")
 
+    out_dir = _typed(config, "out_dir", None, str)
+    fit_scale = _typed(config, "fit_scale", True, bool)
+    emit_svg = _typed(config, "emit_svg", False, bool)
     curve = _load_input_curve(config["input"])
     spec = _parse_flow_config(config["flow"])
     traj = flow.evolve(curve, spec)
 
     scale_fit = None
-    if config.get("fit_scale", True):
+    if fit_scale:
         try:
             scale_fit = flow.fit_scale_profile(traj)
         except TooFewSnapshots:
             scale_fit = None
-    curve_io.write_run_directory(
-        config["out_dir"], config, traj, scale_fit=scale_fit,
-        emit_svg=bool(config.get("emit_svg", False)),
-    )
+    curve_io.write_run_directory(out_dir, config, traj, scale_fit=scale_fit,
+                                 emit_svg=emit_svg)
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     curve = curve_io.read_curve_csv(args.curve)
     report = soliton.classify(curve, tol=args.tol)
-    payload = soliton.report_to_dict(report)
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if args.json_out:
-        Path(args.json_out).write_text(text + "\n", encoding="utf-8", newline="\n")
+    _print_json(soliton.report_to_dict(report), args.json_out)
     return 0 if report.verdict is not None else 1
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    bounds = monitor.time_bounds(args.L0)
-    text = json.dumps(bounds.to_dict(), indent=2)
-    print(text)
-    if args.json_out:
-        Path(args.json_out).write_text(text + "\n", encoding="utf-8", newline="\n")
+    _print_json(monitor.time_bounds(args.L0).to_dict(), args.json_out)
     return 0
+
+
+def _print_json(payload: dict, json_out) -> None:
+    print(json.dumps(payload, indent=2))
+    if json_out:
+        curve_io.write_json(payload, json_out)
 
 
 _HANDLERS = {

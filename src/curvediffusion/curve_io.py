@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -157,9 +158,5 @@ def write_run_directory(out_dir, config: dict, traj, scale_fit=None,
     }
     if scale_fit is not None:
         result["K"] = scale_fit.K
-        result["scale_fit"] = {
-            "rho": scale_fit.rho,
-            "K": scale_fit.K,
-            "rms_residual": scale_fit.rms_residual,
-        }
+        result["scale_fit"] = asdict(scale_fit)
     write_json(result, out / "result.json")

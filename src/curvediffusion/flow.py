@@ -299,7 +299,7 @@ def fit_scale_profile(traj: Trajectory) -> ScaleFit:
             f"scale fit needs at least 3 snapshots, got {len(traj.snapshots)}"
         )
     t = np.asarray(traj.times, dtype=float)
-    lengths = np.array([length(c) for c in traj.snapshots])
+    lengths = traj.monitors.L
     y = (lengths / lengths[0]) ** 4 - 1.0
     k = float(np.sum(t * y) / (4.0 * np.sum(t * t)))
     rms = float(np.sqrt(np.mean((1.0 + 4.0 * k * t - (1.0 + y)) ** 2)))

@@ -91,6 +91,9 @@ class CurveFields:
     dl : (N,) arc-length quadrature weights; dl.sum() equals the
         polygonal length of the curve.
     s : (N,) cumulative arc length from node 0 (chord-length based).
+    seg : chord lengths of consecutive segments, as segment_lengths
+        returns them (N closed, N-1 open); seg.sum() equals length().
+    speed : (N,) parameter speed |gamma_u| that turns d/du into d/ds.
     """
 
     tangent: np.ndarray
@@ -100,6 +103,8 @@ class CurveFields:
     kappa_ss: np.ndarray
     dl: np.ndarray
     s: np.ndarray
+    seg: np.ndarray
+    speed: np.ndarray
 
     @property
     def length(self) -> float:
@@ -134,6 +139,14 @@ def _d2_du2(f: np.ndarray, du: float, closed: bool) -> np.ndarray:
     out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / du**2
     out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / du**2
     return out
+
+
+def _d_ds(values: np.ndarray, speed: np.ndarray, closed: bool) -> np.ndarray:
+    """Arc-length derivative of a per-node scalar or vector field: the
+    parameter stencil of _d_du divided by the local speed |gamma_u|."""
+    n = values.shape[0]
+    d = _d_du(values, 2.0 * np.pi / n if closed else 1.0 / (n - 1), closed)
+    return d / speed if d.ndim == 1 else d / speed[:, None]
 
 
 def segment_lengths(curve: DiscreteCurve) -> np.ndarray:
@@ -223,21 +236,15 @@ def curve_fields(curve: DiscreteCurve) -> CurveFields:
     normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
     cross = g_u[:, 0] * g_uu[:, 1] - g_u[:, 1] * g_uu[:, 0]
     kappa = cross / speed**3
-    kappa_s = _d_du(kappa, du, curve.closed) / speed
-    kappa_ss = _d_du(kappa_s, du, curve.closed) / speed
+    kappa_s = _d_ds(kappa, speed, curve.closed)
+    kappa_ss = _d_ds(kappa_s, speed, curve.closed)
 
-    if curve.closed:
-        # Trapezoidal weight: half of each adjacent segment.
-        dl = 0.5 * (seg + np.roll(seg, 1))
-        s = np.concatenate([[0.0], np.cumsum(seg[:-1])])
-    else:
-        dl = np.empty(n)
-        dl[0] = 0.5 * seg[0]
-        dl[-1] = 0.5 * seg[-1]
-        dl[1:-1] = 0.5 * (seg[:-1] + seg[1:])
-        s = np.concatenate([[0.0], np.cumsum(seg)])
+    # Trapezoidal weight: half of each adjacent segment; an open end has one.
+    padded = seg if curve.closed else np.append(seg, 0.0)
+    dl = 0.5 * (padded + np.roll(padded, 1))
+    s = np.concatenate([[0.0], np.cumsum(seg[: n - 1])])
 
-    return CurveFields(tangent, normal, kappa, kappa_s, kappa_ss, dl, s)
+    return CurveFields(tangent, normal, kappa, kappa_s, kappa_ss, dl, s, seg, speed)
 
 
 def arc_derivative(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:
@@ -247,20 +254,11 @@ def arc_derivative(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:
     divides by the local speed |gamma_u|, so results are consistent with
     the kappa_s / kappa_ss fields.
     """
-    if curve.n < MIN_NODES_FIELDS:
-        raise TooFewNodes(
-            f"arc_derivative needs at least {MIN_NODES_FIELDS} nodes, got {curve.n}"
-        )
-    _require_regular(curve)
+    speed = curve_fields(curve).speed
     values = np.asarray(values, dtype=float)
     if values.shape[0] != curve.n:
         raise ValueError("field length does not match the node count")
-    du = 2.0 * np.pi / curve.n if curve.closed else 1.0 / (curve.n - 1)
-    g_u = _d_du(curve.nodes, du, curve.closed)
-    speed = np.hypot(g_u[:, 0], g_u[:, 1])
-    if values.ndim == 1:
-        return _d_du(values, du, curve.closed) / speed
-    return _d_du(values, du, curve.closed) / speed[:, None]
+    return _d_ds(values, speed, curve.closed)
 
 
 def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:

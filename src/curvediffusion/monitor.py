@@ -22,13 +22,13 @@ error, since the zero-area shrinker is a primary test subject.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .analytic import elliptic_K
 from .errors import DomainError, OpenCurve, Undefined
-from .geometry import DiscreteCurve, curve_fields, length, signed_area
+from .geometry import CurveFields, DiscreteCurve, curve_fields, length, signed_area
 
 # |A| below this times L^2 counts as zero area (undefined ratio).
 _ZERO_AREA_FACTOR = 1e-12
@@ -60,19 +60,29 @@ class LifespanBounds:
     ratio_tilde: float
 
     def to_dict(self) -> dict:
-        return {
-            "T_star": self.T_star,
-            "T_tilde": self.T_tilde,
-            "T_fig8": self.T_fig8,
-            "ratio_star": self.ratio_star,
-            "ratio_tilde": self.ratio_tilde,
-        }
+        return asdict(self)
+
+
+def _dissipation(fields: CurveFields) -> float:
+    return float(np.sum(fields.kappa_s**2 * fields.dl))
+
+
+def _ratio(total: float, area: float) -> float:
+    if abs(area) <= _ZERO_AREA_FACTOR * total**2:
+        return float("nan")
+    return float(total**2 / (4.0 * np.pi * area))
+
+
+def _running_integral(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Trapezoidal integral of values from t[0] up to each t[i]."""
+    out = np.zeros(t.size)
+    out[1:] = np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(t))
+    return out
 
 
 def dissipation(curve: DiscreteCurve) -> float:
     """Length-decay rate integral(kappa_s^2) dl of the curve."""
-    fields = curve_fields(curve)
-    return float(np.sum(fields.kappa_s**2 * fields.dl))
+    return _dissipation(curve_fields(curve))
 
 
 def isoperimetric_ratio(curve: DiscreteCurve) -> float:
@@ -80,41 +90,31 @@ def isoperimetric_ratio(curve: DiscreteCurve) -> float:
     1e-12 * L^2 (undefined, e.g. the figure eight)."""
     if not curve.closed:
         raise OpenCurve("isoperimetric_ratio requires a closed curve")
-    total = length(curve)
-    area = signed_area(curve)
-    if abs(area) <= _ZERO_AREA_FACTOR * total**2:
-        return float("nan")
-    return float(total**2 / (4.0 * np.pi * area))
+    return _ratio(length(curve), signed_area(curve))
 
 
 def monitor_curves(times, curves) -> MonitorSeries:
-    """Build a MonitorSeries from parallel sequences of times and curves."""
+    """Build a MonitorSeries from parallel sequences of times and curves.
+
+    One curve_fields record per curve; L = seg.sum() is the sum length() takes.
+    """
     t = np.asarray(list(times), dtype=float)
     if len(curves) != t.size or t.size == 0:
         raise ValueError("need equal, nonzero numbers of times and curves")
     n = t.size
     lengths = np.empty(n)
-    areas = np.empty(n)
-    ratios = np.empty(n)
+    areas = np.full(n, np.nan)
+    ratios = np.full(n, np.nan)
     diss = np.empty(n)
     for i, curve in enumerate(curves):
-        lengths[i] = length(curve)
-        diss[i] = dissipation(curve)
+        fields = curve_fields(curve)
+        lengths[i] = fields.seg.sum()
+        diss[i] = _dissipation(fields)
         if curve.closed:
             areas[i] = signed_area(curve)
-            ratios[i] = isoperimetric_ratio(curve)
-        else:
-            areas[i] = np.nan
-            ratios[i] = np.nan
-    q = np.zeros(n)
-    if n > 1:
-        q[1:] = np.cumsum(0.5 * (diss[1:] + diss[:-1]) * np.diff(t))
-    return MonitorSeries(t=t, L=lengths, A=areas, I=ratios, Q=q, diss=diss)
-
-
-def monitor_trajectory(traj) -> MonitorSeries:
-    """MonitorSeries of a Trajectory (anything with .times and .snapshots)."""
-    return monitor_curves(traj.times, traj.snapshots)
+            ratios[i] = _ratio(lengths[i], areas[i])
+    return MonitorSeries(t=t, L=lengths, A=areas, I=ratios, Q=_running_integral(t, diss),
+                         diss=diss)
 
 
 def isoperimetric_decay_check(series: MonitorSeries) -> float:
@@ -126,10 +126,7 @@ def isoperimetric_decay_check(series: MonitorSeries) -> float:
     """
     if np.any(np.isnan(series.I)):
         raise Undefined("isoperimetric ratio is undefined at some samples")
-    rate = 2.0 * series.diss / series.L
-    exponent = np.zeros(series.t.size)
-    if series.t.size > 1:
-        exponent[1:] = np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(series.t))
+    exponent = _running_integral(series.t, 2.0 * series.diss / series.L)
     predicted = series.I[0] * np.exp(-exponent)
     return float(np.max(np.abs(predicted / series.I - 1.0)))
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurveDiffusionError, DegenerateGeometry, OpenCurve
-from .geometry import CurveFields, DiscreteCurve, arc_derivative, curve_fields
+from .geometry import CurveFields, DiscreteCurve, _d_ds, curve_fields
 
 # Relative threshold for degenerate normal equations.
 _DEGENERATE_COND = 1e12
@@ -222,12 +222,8 @@ def classify(curve: DiscreteCurve, tol: float = DEFAULT_TOL) -> SolitonReport:
     fields = curve_fields(curve)
     fits: dict[str, object] = {}
     unavailable: dict[str, str] = {}
-    for name, fit in (
-        ("stationary", fit_stationary),
-        ("shrinker", fit_shrinker),
-        ("translator", fit_translator),
-        ("rotator", fit_rotator),
-    ):
+    for name, fit in zip(VERDICT_PRIORITY, (fit_stationary, fit_shrinker,
+                                            fit_translator, fit_rotator)):
         try:
             fits[name] = fit(curve, fields)
         except CurveDiffusionError as exc:
@@ -242,14 +238,8 @@ def classify(curve: DiscreteCurve, tol: float = DEFAULT_TOL) -> SolitonReport:
     if verdict == "shrinker" and fits["shrinker"].K > 0.0:
         verdict = "expander"
 
-    return SolitonReport(
-        stationary=fits.get("stationary"),
-        shrinker=fits.get("shrinker"),
-        translator=fits.get("translator"),
-        rotator=fits.get("rotator"),
-        unavailable=unavailable,
-        verdict=verdict,
-    )
+    return SolitonReport(**{name: fits.get(name) for name in VERDICT_PRIORITY},
+                         unavailable=unavailable, verdict=verdict)
 
 
 def _sig6(value: float) -> float:
@@ -257,31 +247,21 @@ def _sig6(value: float) -> float:
 
 
 def report_to_dict(report: SolitonReport) -> dict:
-    """JSON-ready dict; residuals are rounded to 6 significant digits."""
+    """JSON-ready dict; residuals are rounded to 6 significant digits.
+
+    A fit is a shallow copy of its fields, with tuples as lists and
+    `constrained` only when true; a missing fit is {"unavailable": reason}.
+    """
     out: dict = {}
-    if report.stationary is not None:
-        f = report.stationary
-        out["stationary"] = {"k1": f.k1, "k2": f.k2, "residual": _sig6(f.residual)}
-    else:
-        out["stationary"] = {"unavailable": report.unavailable.get("stationary", "")}
-    if report.shrinker is not None:
-        f = report.shrinker
-        out["shrinker"] = {"K": f.K, "residual": _sig6(f.residual)}
-    else:
-        out["shrinker"] = {"unavailable": report.unavailable.get("shrinker", "")}
-    if report.translator is not None:
-        f = report.translator
-        entry = {"V": [f.V[0], f.V[1]], "residual": _sig6(f.residual)}
-        if f.constrained:
-            entry["constrained"] = True
-        out["translator"] = entry
-    else:
-        out["translator"] = {"unavailable": report.unavailable.get("translator", "")}
-    if report.rotator is not None:
-        f = report.rotator
-        out["rotator"] = {"S": f.S, "residual": _sig6(f.residual)}
-    else:
-        out["rotator"] = {"unavailable": report.unavailable.get("rotator", "")}
+    for name in VERDICT_PRIORITY:
+        fit = getattr(report, name)
+        if fit is None:
+            out[name] = {"unavailable": report.unavailable.get(name, "")}
+            continue
+        entry = {key: list(value) if isinstance(value, tuple) else value
+                 for key, value in vars(fit).items() if key != "constrained" or value}
+        entry["residual"] = _sig6(fit.residual)
+        out[name] = entry
     out["verdict"] = report.verdict if report.verdict is not None else "none"
     return out
 
@@ -325,7 +305,7 @@ def frame_position_identity(curve: DiscreteCurve) -> tuple[float, float]:
     if not curve.closed:
         raise OpenCurve("the frame position identity is for closed curves")
     fields = curve_fields(curve)
-    nu_s = arc_derivative(curve, fields.normal)
+    nu_s = _d_ds(fields.normal, fields.speed, True)
     a = float(np.sum(np.sum(nu_s * curve.nodes, axis=1) * fields.dl))
     b = float(np.sum(np.sum(fields.normal * fields.tangent, axis=1) * fields.dl))
     return a, b

@@ -1,6 +1,8 @@
 """Closed-form curves, elliptic integrals, and Fresnel sampling."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -240,6 +242,25 @@ def test_invalid_specs_rejected(bad):
 )
 def test_spec_dict_round_trip(spec):
     assert cd.spec_from_dict(cd.spec_to_dict(spec)) == spec
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        (cd.Circle(2.5, center=(1.0, -2.0), orientation=-1),
+         '{"kind": "circle", "radius": 2.5, "center": [1.0, -2.0], "orientation": -1}'),
+        (cd.Lemniscate(scale=0.75),
+         '{"kind": "lemniscate", "scale": 0.75, "orientation": 1}'),
+        (cd.FresnelFamily(c1=1.0, c2=-0.5, theta=0.25, v=(1.0, 2.0), s_min=-1.0, s_max=2.0),
+         '{"kind": "fresnel", "c1": 1.0, "c2": -0.5, "theta": 0.25, "v": [1.0, 2.0], '
+         '"s_min": -1.0, "s_max": 2.0, "orientation": 1}'),
+        (cd.Line(point=(0.0, 1.0), direction=(1.0, 1.0), s_min=-1.0, s_max=3.0),
+         '{"kind": "line", "point": [0.0, 1.0], "direction": [1.0, 1.0], '
+         '"s_min": -1.0, "s_max": 3.0, "orientation": 1}'),
+    ],
+)
+def test_spec_to_dict_exact_json(spec, text):
+    assert json.dumps(cd.spec_to_dict(spec)) == text
 
 
 def test_spec_from_dict_rejects_unknown_kind():

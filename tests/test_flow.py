@@ -9,7 +9,7 @@ from scipy.linalg import LinAlgError
 
 import curvediffusion as cd
 from curvediffusion import flow
-from conftest import ellipse_curve, moved
+from conftest import ellipse_curve, moved, random_smooth_curve
 
 RNG = np.random.default_rng(20260814)
 
@@ -190,6 +190,26 @@ def test_step_equivariant_under_scaling(closed, scheme, rho):
     assert np.max(np.abs(got - want)) <= 1e-12 * rho
 
 
+@pytest.mark.parametrize("scheme", flow.SCHEMES)
+@settings(max_examples=25, deadline=None)
+@given(
+    closed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    c1=st.floats(-2.0, 2.0),
+    c2=st.floats(-2.0, 2.0),
+)
+def test_step_commutes_with_reversal(scheme, closed, seed, c1, c2):
+    if closed:
+        crv = random_smooth_curve(np.random.default_rng(seed), 64)
+    else:
+        crv = cd.sample_analytic(cd.FresnelFamily(c1=c1, c2=c2, s_min=-1.0, s_max=1.0), 64)
+    dt = cd.auto_dt(crv, scheme)
+    spec = cd.FlowSpec(scheme=scheme, dt=dt, t_end=1.0)
+    got = cd.step(crv.reversed(), dt, spec).nodes
+    want = cd.step(crv, dt, spec).reversed().nodes
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Numerical failures become terminations
 
@@ -359,3 +379,13 @@ def test_fit_scale_needs_three_snapshots():
     assert len(traj.snapshots) == 2
     with pytest.raises(cd.TooFewSnapshots):
         cd.fit_scale_profile(traj)
+
+
+def test_fit_scale_equals_regression_on_snapshot_lengths():
+    traj = cd.evolve(ellipse_curve(128), cd.FlowSpec(t_end=1e-3, dt=2e-5, snapshot_every=5))
+    t = traj.times
+    lengths = np.array([cd.length(c) for c in traj.snapshots])
+    y = (lengths / lengths[0]) ** 4 - 1.0
+    k = float(np.sum(t * y) / (4.0 * np.sum(t * t)))
+    rms = float(np.sqrt(np.mean((1.0 + 4.0 * k * t - (1.0 + y)) ** 2)))
+    assert cd.fit_scale_profile(traj) == cd.ScaleFit(rho=1.0, K=k, rms_residual=rms)

@@ -1,6 +1,8 @@
 """File formats (curve CSV, monitors CSV, SVG) and the command line."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvediffusion as cd
 from curvediffusion import cli, curve_io
@@ -31,6 +35,22 @@ def test_csv_round_trip_open(clothoid_512, tmp_path):
     back = curve_io.read_curve_csv(path)
     assert back.closed is False
     assert np.array_equal(back.nodes, clothoid_512.nodes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nodes=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                             st.floats(allow_nan=False, allow_infinity=False)),
+                   min_size=2, max_size=30),
+    closed=st.booleans(),
+)
+def test_csv_round_trip_exact(nodes, closed):
+    crv = cd.DiscreteCurve(np.array(nodes, dtype=float), closed)
+    text = curve_io.curve_to_csv(crv)
+    back = curve_io.curve_from_csv(text)
+    assert back.closed is closed
+    assert back.nodes.tobytes() == crv.nodes.tobytes()  # exact, signed zeros included
+    assert curve_io.curve_to_csv(back) == text
 
 
 def test_csv_layout(circle_512):
@@ -336,6 +356,122 @@ def test_cli_evolve_bad_config(tmp_path, capsys, mutate):
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert cli.main(["evolve", str(cfg_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda c: c["input"].update(nodes=[64]),
+        lambda c: c["flow"].update(t_end=None),
+        lambda c: c["flow"].update(dt=[1]),
+        lambda c: c["input"].update(spec={"kind": []}),
+        lambda c: c.update(input={"path": 5}),
+        lambda c: c.update(out_dir=7),
+    ],
+    ids=["nodes", "t_end", "dt", "spec_kind", "path", "out_dir"],
+)
+def test_cli_evolve_wrongly_typed_value(tmp_path, capsys, mutate):
+    config = _evolve_config(tmp_path)
+    mutate(config)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["evolve", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_JSON_TYPES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=8).filter(lambda v: v != "auto"),
+    "array": st.lists(st.integers(-3, 3) | st.text(max_size=2), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+_SPEC_BASES = {
+    "circle": {"radius": 1.0, "center": [0.5, 0.0], "orientation": 1},
+    "lemniscate": {"scale": 1.0},
+    "fresnel": {"c1": 0.0, "c2": 1.5, "theta": 0.1, "v": [0.0, 1.0], "s_min": -1.0, "s_max": 1.0},
+    "line": {"point": [0.0, 0.0], "direction": [1.0, 0.0], "s_min": 0.0, "s_max": 1.0},
+}
+# JSON types each config field accepts (dt also takes the string "auto").
+_CONFIG_FIELDS = {
+    ("input",): {"object"}, ("flow",): {"object"}, ("out_dir",): {"string"},
+    ("fit_scale",): {"bool"}, ("emit_svg",): {"bool"},
+    ("input", "path"): {"string"}, ("input", "nodes"): {"number"},
+    ("input", "spec"): {"object"}, ("input", "spec", "kind"): {"string"},
+    ("flow", "kind"): {"string"}, ("flow", "scheme"): {"string"},
+    ("flow", "dt"): {"number", "null"}, ("flow", "t_end"): {"number"},
+    ("flow", "redistribute_every"): {"number"}, ("flow", "snapshot_every"): {"number"},
+    ("flow", "length_min"): {"number", "null"}, ("flow", "min_spacing"): {"number", "null"},
+}
+
+
+@st.composite
+def _wrongly_typed_config(draw):
+    kind = draw(st.sampled_from(sorted(_SPEC_BASES)))
+    config = {
+        "input": {"spec": {"kind": kind, **_SPEC_BASES[kind]}, "nodes": 16},
+        "flow": {"t_end": 1e-6, "dt": "auto", "length_min": None},
+        "out_dir": "run", "fit_scale": True, "emit_svg": False,
+    }
+    fields = dict(_CONFIG_FIELDS)
+    for key, value in _SPEC_BASES[kind].items():
+        fields[("input", "spec", key)] = {"array" if isinstance(value, list) else "number"}
+    path = draw(st.sampled_from(sorted(fields)))
+    wrong = draw(st.sampled_from(sorted(set(_JSON_TYPES) - fields[path])))
+    if path == ("input", "path"):
+        config["input"] = {}  # a path input has no spec
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(_JSON_TYPES[wrong])
+    return config
+
+
+def _run_cli(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process CLI call; stdout is discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_wrongly_typed_config())
+def test_cli_evolve_fuzz_wrong_types(tmp_path_factory, config):
+    cfg_path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    if config["out_dir"] == "run":  # keep any accidental run out of the working directory
+        config["out_dir"] = str(cfg_path.parent / "run")
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    code, err = _run_cli(["evolve", str(cfg_path)])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_CSV_ROW = st.one_of(
+    st.tuples(st.floats(), st.floats()).map(lambda p: f"{p[0]!r},{p[1]!r}"),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda p: f"{p[0]},{p[1]}"),
+    st.text(max_size=8),
+)
+_CSV_TEXT = st.one_of(
+    st.text(),
+    st.builds(
+        lambda flag, header, rows: f"# closed={flag}\n{header}\n" + "\n".join(rows) + "\n",
+        st.sampled_from(["true", "false", "maybe"]),
+        st.sampled_from(["x,y", "a,b"]),
+        st.lists(_CSV_ROW, max_size=40),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_CSV_TEXT)
+def test_cli_check_fuzz_text(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "curve.csv"
+    path.write_text(text, encoding="utf-8")
+    code, err = _run_cli(["check", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_cli_evolve_config_not_json(tmp_path, capsys):

@@ -87,6 +87,21 @@ def test_monitor_curves_open_curve(clothoid_512):
     assert m.L[0] == pytest.approx(cd.length(clothoid_512))
 
 
+def test_monitor_curves_equal_single_curve_functions(ellipse_run, lemniscate_512,
+                                                     clothoid_512):
+    # Bit equality, not approx: L must be the segment sum length() takes,
+    # not the quadrature-weight sum dl.sum(), which differs in the last bits.
+    curves = list(ellipse_run.snapshots) + [lemniscate_512, clothoid_512]
+    m = cd.monitor_curves(range(len(curves)), curves)
+    closed = [c.closed for c in curves]
+    assert m.L.tolist() == [cd.length(c) for c in curves]
+    assert m.diss.tolist() == [cd.dissipation(c) for c in curves]
+    assert m.A[closed].tolist() == [cd.signed_area(c) for c in curves if c.closed]
+    assert np.array_equal(m.I[closed], [cd.isoperimetric_ratio(c) for c in curves if c.closed],
+                          equal_nan=True)
+    assert np.all(np.isnan(m.A[~np.array(closed)]))
+
+
 # ---------------------------------------------------------------------------
 # Isoperimetric decay prediction
 
