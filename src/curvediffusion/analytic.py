@@ -274,11 +274,7 @@ def fresnel_point(s: float, spec: FresnelFamily) -> np.ndarray:
     Evaluates the cosine and sine quadratures to absolute tolerance 1e-12,
     then applies the family's rotation and translation.
     """
-    z = _adaptive_simpson(_fresnel_integrand(spec), 0.0, float(s))
-    base = np.array([np.real(z), np.imag(z)])
-    ct, st = np.cos(spec.theta), np.sin(spec.theta)
-    rot = np.array([[ct, -st], [st, ct]])
-    return rot @ base + np.asarray(spec.v, dtype=float)
+    return _fresnel_sample(spec, np.array([float(s)]))[0]
 
 
 def _fresnel_sample(spec: FresnelFamily, s_values: np.ndarray) -> np.ndarray:

@@ -25,8 +25,10 @@ Two schemes:
 
 Stopping is by first trigger among: time horizon reached, length below a
 floor, minimum node spacing below a floor, or a numerical failure
-(non-finite state, singular solve, degenerate segment). Failures become
-recorded termination reasons, never crashes.
+(non-finite state, singular solve, degenerate segment). Every stop,
+non_regular included, is a recorded termination reason, never a crash:
+a state is kept only once its geometry record exists, so the last
+snapshot is always a regular curve.
 """
 
 from __future__ import annotations
@@ -37,15 +39,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
 
 from .errors import NonFinite, NonRegular, SolveFailure, TooFewSnapshots
-from .geometry import (
-    CurveFields,
-    DiscreteCurve,
-    curve_fields,
-    length,
-    resample_uniform,
-    segment_lengths,
-)
-from .monitor import MonitorSeries, monitor_curves
+from .geometry import CurveFields, DiscreteCurve, curve_fields, length, resample_uniform
+from .monitor import MonitorSeries, _row, _series
 
 CURVE_DIFFUSION = "curve_diffusion"
 ELASTIC = "elastic"
@@ -61,6 +56,8 @@ TERM_MIN_SPACING_BELOW = "min_spacing_below"
 TERM_NON_FINITE = "non_finite"
 TERM_SOLVE_FAILURE = "solve_failure"
 TERM_NON_REGULAR = "non_regular"
+_FAILURE_TERMS = {NonFinite: TERM_NON_FINITE, SolveFailure: TERM_SOLVE_FAILURE,
+                  NonRegular: TERM_NON_REGULAR}
 
 # Automatic step sizes: safety factor below the forward-Euler bound for the
 # fourth-difference symbol (explicit), and an h^2 step for the IMEX scheme.
@@ -151,7 +148,7 @@ def _imex_solve(rhs: np.ndarray, c: float, closed: bool) -> np.ndarray:
     ab = np.repeat([[c], [-4.0 * c], [1.0 + 6.0 * c]], n, axis=1)
     ab[1, [1, -1]] = -2.0 * c
     ab[2, [0, 1, -2, -1]] = 1.0 + c * np.array([1.0, 5.0, 5.0, 1.0])
-    # Non-finite input flows through to the NonFinite check in step().
+    # Non-finite input flows through to the NonFinite check in _advance().
     return solveh_banded(ab, rhs, check_finite=False)
 
 
@@ -159,14 +156,18 @@ def _mean_spacing(curve: DiscreteCurve, total_length: float) -> float:
     return total_length / (curve.n if curve.closed else curve.n - 1)
 
 
-def auto_dt(curve: DiscreteCurve, scheme: str) -> float:
-    """Automatic step for the current mean arc spacing."""
-    h = _mean_spacing(curve, length(curve))
+def _auto_step(curve: DiscreteCurve, total_length: float, scheme: str) -> float:
+    h = _mean_spacing(curve, total_length)
     if scheme == EXPLICIT:
         return EXPLICIT_DT_FACTOR * h**4
     if scheme == SEMI_IMPLICIT:
         return SEMI_IMPLICIT_DT_FACTOR * h**2
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def auto_dt(curve: DiscreteCurve, scheme: str) -> float:
+    """Automatic step for the current mean arc spacing."""
+    return _auto_step(curve, length(curve), scheme)
 
 
 def step(curve: DiscreteCurve, dt: float, spec: FlowSpec) -> DiscreteCurve:
@@ -177,7 +178,12 @@ def step(curve: DiscreteCurve, dt: float, spec: FlowSpec) -> DiscreteCurve:
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    fields = curve_fields(curve)
+    return _advance(curve, curve_fields(curve), dt, spec)
+
+
+def _advance(curve: DiscreteCurve, fields: CurveFields, dt: float,
+             spec: FlowSpec) -> DiscreteCurve:
+    """One step of size dt > 0 from the curve and its field record."""
     v = normal_velocity(fields, spec.kind)
 
     if spec.scheme == EXPLICIT:
@@ -204,16 +210,19 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
     uniform arc length (snapshot 0 is that resampled state): the frozen
     mean-spacing operator of the semi-implicit scheme under-stabilizes
     regions sampled finer than the mean, so near-uniform spacing is a
-    correctness requirement, not a cosmetic one. Monitors are evaluated at
-    snapshot times.
+    correctness requirement, not a cosmetic one. Each state held (initial,
+    post-step, redistributed) gets one curve_fields record, which feeds
+    the next step, the automatic dt, the stop rules and the monitor row
+    of a snapshot.
     """
     spec.validate()
     state = curve
     if spec.redistribute_every > 0:
         state = resample_uniform(state, curve.n)
+    fields = curve_fields(state)
 
     if spec.scheme == EXPLICIT and spec.dt is not None:
-        envelope = spec.dt * (state.n / length(state)) ** 4
+        envelope = spec.dt * (state.n / fields.length) ** 4
         if envelope > EXPLICIT_ENVELOPE * (1.0 + 1e-12):
             raise ValueError(
                 f"explicit step dt={spec.dt:.6g} gives dt*(N/L)^4 = "
@@ -223,7 +232,8 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
 
     times = [0.0]
     snaps = [state]
-    dt = spec.dt if spec.dt is not None else auto_dt(state, spec.scheme)
+    rows = [_row(state, fields)]
+    dt = spec.dt if spec.dt is not None else _auto_step(state, fields.length, spec.scheme)
     t = 0.0
     steps = 0
     termination = TERM_TIME_REACHED
@@ -233,55 +243,42 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
         if times[-1] != t:
             times.append(t)
             snaps.append(state)
+            rows.append(_row(state, fields))
 
     while t < horizon:
         dt_step = min(dt, spec.t_end - t)
         try:
-            state = step(state, dt_step, spec)
-        except NonFinite:
-            termination = TERM_NON_FINITE
-            break
-        except SolveFailure:
-            termination = TERM_SOLVE_FAILURE
-            break
-        except NonRegular:
-            termination = TERM_NON_REGULAR
-            break
-        t += dt_step
-        steps += 1
-
-        if spec.min_spacing is not None or spec.length_min is not None:
-            seg = segment_lengths(state)
-            if spec.min_spacing is not None and float(seg.min()) < spec.min_spacing:
+            # A state is kept only once its record exists; a degenerate one never is.
+            new = _advance(state, fields, dt_step, spec)
+            state, fields = new, curve_fields(new)
+            t += dt_step
+            steps += 1
+            if spec.min_spacing is not None and float(fields.seg.min()) < spec.min_spacing:
                 termination = TERM_MIN_SPACING_BELOW
-                record()
                 break
-            if spec.length_min is not None and float(seg.sum()) < spec.length_min:
+            if spec.length_min is not None and fields.length < spec.length_min:
                 termination = TERM_LENGTH_BELOW
-                record()
                 break
-
-        if (
-            spec.redistribute_every > 0
-            and steps % spec.redistribute_every == 0
-            and t < horizon
-        ):
-            try:
-                state = resample_uniform(state, state.n)
-            except NonRegular:
-                termination = TERM_NON_REGULAR
-                break
-            if spec.dt is None:
-                dt = auto_dt(state, spec.scheme)
+            if (
+                spec.redistribute_every > 0
+                and steps % spec.redistribute_every == 0
+                and t < horizon
+            ):
+                new = resample_uniform(state, state.n)
+                state, fields = new, curve_fields(new)
+                if spec.dt is None:
+                    dt = _auto_step(state, fields.length, spec.scheme)
+        except tuple(_FAILURE_TERMS) as exc:
+            termination = _FAILURE_TERMS[type(exc)]
+            break
         if steps % spec.snapshot_every == 0:
             record()
 
     record()
-    monitors = monitor_curves(times, snaps)
     return Trajectory(
         times=np.asarray(times),
         snapshots=snaps,
-        monitors=monitors,
+        monitors=_series(times, rows),
         termination=termination,
         n_steps=steps,
     )

@@ -92,7 +92,8 @@ class CurveFields:
         polygonal length of the curve.
     s : (N,) cumulative arc length from node 0 (chord-length based).
     seg : chord lengths of consecutive segments, as segment_lengths
-        returns them (N closed, N-1 open); seg.sum() equals length().
+        returns them (N closed, N-1 open); the length property is
+        seg.sum(), bit-equal to length().
     speed : (N,) parameter speed |gamma_u| that turns d/du into d/ds.
     """
 
@@ -108,7 +109,7 @@ class CurveFields:
 
     @property
     def length(self) -> float:
-        return float(self.dl.sum())
+        return float(self.seg.sum())
 
 
 @dataclass(frozen=True)

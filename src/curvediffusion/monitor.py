@@ -93,28 +93,30 @@ def isoperimetric_ratio(curve: DiscreteCurve) -> float:
     return _ratio(length(curve), signed_area(curve))
 
 
-def monitor_curves(times, curves) -> MonitorSeries:
-    """Build a MonitorSeries from parallel sequences of times and curves.
+def _row(curve: DiscreteCurve, fields: CurveFields) -> tuple[float, float, float, float]:
+    """(L, A, I, diss) of one curve from its field record; A and I are NaN
+    for an open curve. L = fields.length is the sum length() takes."""
+    total = fields.length
+    if not curve.closed:
+        return total, float("nan"), float("nan"), _dissipation(fields)
+    area = signed_area(curve)
+    return total, area, _ratio(total, area), _dissipation(fields)
 
-    One curve_fields record per curve; L = seg.sum() is the sum length() takes.
-    """
+
+def _series(times, rows) -> MonitorSeries:
+    """MonitorSeries from parallel sequences of times and _row tuples."""
     t = np.asarray(list(times), dtype=float)
-    if len(curves) != t.size or t.size == 0:
+    if len(rows) != t.size or t.size == 0:
         raise ValueError("need equal, nonzero numbers of times and curves")
-    n = t.size
-    lengths = np.empty(n)
-    areas = np.full(n, np.nan)
-    ratios = np.full(n, np.nan)
-    diss = np.empty(n)
-    for i, curve in enumerate(curves):
-        fields = curve_fields(curve)
-        lengths[i] = fields.seg.sum()
-        diss[i] = _dissipation(fields)
-        if curve.closed:
-            areas[i] = signed_area(curve)
-            ratios[i] = _ratio(lengths[i], areas[i])
+    lengths, areas, ratios, diss = np.array(rows, dtype=float).T
     return MonitorSeries(t=t, L=lengths, A=areas, I=ratios, Q=_running_integral(t, diss),
                          diss=diss)
+
+
+def monitor_curves(times, curves) -> MonitorSeries:
+    """Build a MonitorSeries from parallel sequences of times and curves,
+    with one curve_fields record per curve."""
+    return _series(times, [_row(curve, curve_fields(curve)) for curve in curves])
 
 
 def isoperimetric_decay_check(series: MonitorSeries) -> float:

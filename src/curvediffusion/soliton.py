@@ -116,20 +116,22 @@ def fit_stationary(curve: DiscreteCurve, fields: CurveFields | None = None) -> S
 
     The slope is k2; the intercept k1 is reported at the arc-length
     centroid of the sample, which makes it independent of where the
-    sample window starts along the curve. The residual is normalized by
-    ||kappa||.
+    sample window starts along the curve. On a closed curve periodicity
+    forces k2 = 0, so only k1 (the mean curvature) is fitted and the
+    result does not depend on node 0 or the direction. The residual is
+    normalized by ||kappa||.
     """
     fields = curve_fields(curve) if fields is None else fields
-    dl, s, kap = fields.dl, fields.s, fields.kappa
+    dl, kap = fields.dl, fields.kappa
     total = fields.length
-    s_bar = float(np.sum(s * dl) / total)
-    ds = s - s_bar
-    denom = float(np.sum(ds**2 * dl))
-    k2 = float(np.sum(kap * ds * dl) / denom)
     k1 = float(np.sum(kap * dl) / total)
-    defect = kap - (k1 + k2 * ds)
+    k2, fitted = 0.0, k1
+    if not curve.closed:
+        ds = fields.s - float(np.sum(fields.s * dl) / total)
+        k2 = float(np.sum(kap * ds * dl) / float(np.sum(ds**2 * dl)))
+        fitted = k1 + k2 * ds
     nk = _wnorm(kap, dl)
-    residual = 0.0 if nk == 0.0 else _wnorm(defect, dl) / nk
+    residual = 0.0 if nk == 0.0 else _wnorm(kap - fitted, dl) / nk
     return StationaryFit(k1=k1, k2=k2, residual=residual)
 
 

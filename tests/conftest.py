@@ -62,3 +62,21 @@ def clothoid_512() -> cd.DiscreteCurve:
 @pytest.fixture(scope="session")
 def perturbed_ellipse() -> cd.DiscreteCurve:
     return cd.read_curve_csv(FIXTURE_DIR / "perturbed_ellipse_256.csv")
+
+
+def repeat_node_on_step(monkeypatch, flow_module, step_number: int) -> None:
+    """Make step `step_number` of flow._advance return its curve with node 1
+    moved onto node 0: a repeated node, i.e. a non-regular state."""
+    real = flow_module._advance
+    calls = []
+
+    def faulty(curve, *args):
+        new = real(curve, *args)
+        calls.append(None)
+        if len(calls) != step_number:
+            return new
+        nodes = new.nodes.copy()
+        nodes[1] = nodes[0]
+        return cd.DiscreteCurve(nodes, new.closed)
+
+    monkeypatch.setattr(flow_module, "_advance", faulty)

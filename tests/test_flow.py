@@ -9,7 +9,7 @@ from scipy.linalg import LinAlgError
 
 import curvediffusion as cd
 from curvediffusion import flow
-from conftest import ellipse_curve, moved, random_smooth_curve
+from conftest import ellipse_curve, moved, random_smooth_curve, repeat_node_on_step
 
 RNG = np.random.default_rng(20260814)
 
@@ -240,6 +240,18 @@ def test_evolve_reports_non_finite(lemniscate_512, monkeypatch):
     assert traj.n_steps == 0
 
 
+def test_evolve_reports_non_regular(lemniscate_512, monkeypatch):
+    # The degenerate state from step 3 is never kept: the run ends with the
+    # state after step 2, and every snapshot has a field record.
+    repeat_node_on_step(monkeypatch, flow, 3)
+    traj = cd.evolve(lemniscate_512, cd.FlowSpec(t_end=1e-3, snapshot_every=1))
+    assert traj.termination == flow.TERM_NON_REGULAR
+    assert traj.n_steps == 2
+    assert len(traj.snapshots) == len(traj.times) == 3
+    for snap in traj.snapshots:
+        cd.curve_fields(snap)
+
+
 # ---------------------------------------------------------------------------
 # Stability envelope
 
@@ -389,3 +401,53 @@ def test_fit_scale_equals_regression_on_snapshot_lengths():
     k = float(np.sum(t * y) / (4.0 * np.sum(t * t)))
     rms = float(np.sqrt(np.mean((1.0 + 4.0 * k * t - (1.0 + y)) ** 2)))
     assert cd.fit_scale_profile(traj) == cd.ScaleFit(rho=1.0, K=k, rms_residual=rms)
+
+
+# ---------------------------------------------------------------------------
+# One field record per state
+
+
+def _series_bytes(series):
+    return [getattr(series, name).tobytes() for name in ("t", "L", "A", "I", "Q", "diss")]
+
+
+@pytest.mark.parametrize("curve, spec, termination", [
+    (cd.sample_analytic(cd.Lemniscate(), 128), cd.FlowSpec(t_end=1e-2, snapshot_every=5),
+     flow.TERM_TIME_REACHED),
+    (cd.sample_analytic(cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=-1.0, s_max=1.0), 256),
+     cd.FlowSpec(t_end=4e-4, snapshot_every=5), flow.TERM_TIME_REACHED),
+    (ellipse_curve(128), cd.FlowSpec(t_end=1.0, snapshot_every=7, length_min=4.5),
+     flow.TERM_LENGTH_BELOW),
+], ids=["lemniscate", "clothoid", "length_min"])
+def test_evolve_monitors_equal_monitor_curves(curve, spec, termination):
+    # Bit equality, NaN positions included: evolve's rows come from the same
+    # field records that monitor_curves rebuilds from the snapshots.
+    traj = cd.evolve(curve, spec)
+    assert traj.termination == termination
+    assert traj.n_steps > 2 * spec.redistribute_every
+    assert _series_bytes(traj.monitors) == _series_bytes(
+        cd.monitor_curves(traj.times, traj.snapshots))
+
+
+@pytest.mark.parametrize("redistribute_every", [10, 0])
+def test_evolve_computes_fields_once_per_state(monkeypatch, redistribute_every):
+    calls = []
+    real = flow.curve_fields
+
+    def counted(curve):
+        calls.append(curve)
+        return real(curve)
+
+    def unexpected(*args):
+        raise AssertionError("evolve re-derives geometry it already has")
+
+    monkeypatch.setattr(flow, "curve_fields", counted)
+    monkeypatch.setattr(flow, "length", unexpected)
+    monkeypatch.setattr(flow, "auto_dt", unexpected)
+    spec = cd.FlowSpec(t_end=1e-2, redistribute_every=redistribute_every)
+    traj = cd.evolve(cd.sample_analytic(cd.Lemniscate(), 128), spec)
+    assert traj.termination == flow.TERM_TIME_REACHED
+    assert traj.n_steps > 2 * spec.redistribute_every
+    # Redistribution follows every redistribute_every-th step except the last.
+    redistributions = (traj.n_steps - 1) // redistribute_every if redistribute_every else 0
+    assert len(calls) == 1 + traj.n_steps + redistributions

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvediffusion as cd
-from curvediffusion import cli, curve_io
+from curvediffusion import cli, curve_io, flow
+from conftest import repeat_node_on_step
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +299,18 @@ def test_cli_evolve_run_directory(tmp_path, capsys):
     monitor_rows = (run / "monitors.csv").read_text().splitlines()
     assert monitor_rows[0] == "t,L,A,I,Q,diss"
     assert len(monitor_rows) - 1 == result["n_snapshots"]
+
+
+def test_cli_evolve_non_regular_is_recorded(tmp_path, monkeypatch):
+    repeat_node_on_step(monkeypatch, flow, 3)
+    config = _evolve_config(tmp_path, t_end=1e-3, snapshot_every=1)
+    config["input"]["nodes"] = 128
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["evolve", str(cfg_path)]) == 0
+    result = json.loads((tmp_path / "run" / "result.json").read_text())
+    assert result["termination"] == "non_regular"
+    assert result["n_steps"] == 2
 
 
 def test_cli_evolve_deterministic(tmp_path):

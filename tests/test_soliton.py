@@ -302,8 +302,6 @@ def test_classify_invariant_under_similarity(name, angle, shift, rho, reverse):
     offset = float(np.hypot(*shift)) / rho
     assert got.verdict == base.verdict
     for fit in ("stationary", "shrinker", "translator"):
-        if fit == "stationary" and reverse and crv.closed:
-            continue  # seam-dependent: test_stationary_fit_closed_reversal_seam
         assert _close(getattr(got, fit).residual, getattr(base, fit).residual, offset)
     assert _close(got.shrinker.K * rho**4, base.shrinker.K, offset)
     want_v = rotation(angle) @ np.asarray(base.translator.V)
@@ -311,12 +309,15 @@ def test_classify_invariant_under_similarity(name, angle, shift, rho, reverse):
         assert _close(got_c, want_c, offset)
 
 
-@pytest.mark.xfail(strict=True, reason="on a closed curve kappa is regressed on s "
-                   "measured from node 0, and reversal moves that node from s=L to s=0")
 def test_stationary_fit_closed_reversal_seam(perturbed_ellipse):
+    # Periodicity forces k2 = 0, so neither the direction nor node 0 matters.
     fwd = cd.fit_stationary(perturbed_ellipse)
     bwd = cd.fit_stationary(perturbed_ellipse.reversed())
+    shifted = cd.fit_stationary(cd.DiscreteCurve(np.roll(perturbed_ellipse.nodes, 37, axis=0),
+                                                 closed=True))
+    assert fwd.k2 == bwd.k2 == shifted.k2 == 0.0
     assert _close(bwd.residual, fwd.residual)
+    assert _close(shifted.residual, fwd.residual)
 
 
 @settings(max_examples=40, deadline=None)
