@@ -146,6 +146,96 @@ def test_svg_flips_y_axis():
 
 
 # ---------------------------------------------------------------------------
+# Writer reference: a per-scalar re-statement of every text format
+
+
+def _g(value) -> str:
+    return format(float(value), ".17g")
+
+
+def _reference_curve_csv(curve) -> str:
+    lines = [f"# closed={'true' if curve.closed else 'false'}", "x,y"]
+    lines.extend(f"{_g(x)},{_g(y)}" for x, y in curve.nodes)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg(curve) -> str:
+    pts = np.column_stack([curve.nodes[:, 0], -curve.nodes[:, 1]])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
+    pad = 0.05 * span if span > 0.0 else 1.0
+    x0, y0 = lo[0] - pad, lo[1] - pad
+    w, h = hi[0] - lo[0] + 2.0 * pad, hi[1] - lo[1] + 2.0 * pad
+    moves = [f"M {_g(pts[0, 0])} {_g(pts[0, 1])}"]
+    moves.extend(f"L {_g(x)} {_g(y)}" for x, y in pts[1:])
+    if curve.closed:
+        moves.append("Z")
+    return (
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{_g(x0)} {_g(y0)} {_g(w)} {_g(h)}">\n'
+        f'  <path d="{" ".join(moves)}" fill="none" stroke="black" '
+        f'stroke-width="{_g(0.004 * max(w, h))}"/>\n'
+        "</svg>\n"
+    )
+
+
+def _reference_monitors_csv(series) -> str:
+    lines = ["t,L,A,I,Q,diss"]
+    for i in range(series.t.size):
+        area = "" if np.isnan(series.A[i]) else _g(series.A[i])
+        ratio = "" if np.isnan(series.I[i]) else _g(series.I[i])
+        lines.append(f"{_g(series.t[i])},{_g(series.L[i])},{area},{ratio},"
+                     f"{_g(series.Q[i])},{_g(series.diss[i])}")
+    return "\n".join(lines) + "\n"
+
+
+# Signed zeros, the smallest subnormal, the largest double and values that
+# need all 17 digits, next to ordinary coordinates.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e-300, 123456789.125]
+
+
+def _edge_nodes(n: int = 40) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    nodes = rng.normal(scale=3.0, size=(n, 2))
+    nodes.flat[: len(_EDGE_VALUES)] = _EDGE_VALUES
+    nodes.flat[-len(_EDGE_VALUES):] = _EDGE_VALUES[::-1]
+    return nodes
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_curve_writers_match_reference(closed):
+    curve = cd.DiscreteCurve(_edge_nodes(), closed=closed)
+    assert curve_io.curve_to_csv(curve) == _reference_curve_csv(curve)
+    with np.errstate(over="ignore", invalid="ignore"):  # the viewBox overflows
+        assert curve_io.curve_to_svg(curve) == _reference_svg(curve)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_svg_matches_reference_on_ordinary_curve(closed, circle_512, clothoid_512):
+    # The edge values above overflow the viewBox; these curves keep it finite,
+    # and a one-point curve takes the unit pad.
+    curve = circle_512 if closed else clothoid_512
+    assert curve_io.curve_to_svg(curve) == _reference_svg(curve)
+    single = cd.DiscreteCurve(np.array([[1.5, -0.0], [1.5, -0.0]]), closed=closed)
+    assert curve_io.curve_to_svg(single) == _reference_svg(single)
+
+
+def test_monitors_csv_matches_reference():
+    values = np.array(_EDGE_VALUES)
+    nan = float("nan")
+    area = values.copy()
+    area[[1, 4]] = nan
+    ratio = values[::-1].copy()
+    ratio[[0, 1, 7]] = nan
+    series = cd.MonitorSeries(t=values, L=np.abs(values), A=area, I=ratio,
+                              Q=values[::-1], diss=np.roll(values, 3))
+    text = curve_io.monitors_to_csv(series)
+    assert text == _reference_monitors_csv(series)
+    assert text.splitlines()[2].split(",")[2:4] == ["", ""]
+
+
+# ---------------------------------------------------------------------------
 # CLI: generate
 
 
