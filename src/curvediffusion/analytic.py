@@ -20,6 +20,7 @@ dependency so the values can be certified by Richardson extrapolation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -345,13 +346,16 @@ def spec_to_dict(spec: AnalyticCurveSpec) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number (not a bool) that is a finite double: not NaN, not
+    infinite, and not an integer too large to convert."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def spec_from_dict(data: dict) -> AnalyticCurveSpec:
     """Inverse of spec_to_dict; raises ValueError on malformed input.
 
-    Every field must be a JSON number, or a pair of numbers for the
+    Every field must be a finite JSON number, or a pair of them for the
     vector fields center, v, point and direction.
     """
     if not isinstance(data, dict) or "kind" not in data:
@@ -364,10 +368,10 @@ def spec_from_dict(data: dict) -> AnalyticCurveSpec:
         if key in ("center", "v", "point", "direction"):
             if not (isinstance(value, (list, tuple)) and len(value) == 2
                     and all(map(_is_number, value))):
-                raise ValueError(f"field {key!r} must be a pair of numbers")
+                raise ValueError(f"field {key!r} must be a pair of finite numbers")
             fields[key] = (float(value[0]), float(value[1]))
         elif not _is_number(value):
-            raise ValueError(f"field {key!r} must be a number")
+            raise ValueError(f"field {key!r} must be a finite number")
     try:
         return _SPEC_KINDS[kind](**fields)
     except TypeError as exc:

@@ -76,13 +76,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _number(data: dict, key: str, default) -> float | None:
-    """data[key], or default when absent, as a float. It must be a JSON
-    number; null is accepted only where the default is None."""
+    """data[key], or default when absent, as a float. It must be a finite
+    JSON number; null is accepted only where the default is None."""
     value = data.get(key, default)
     if value is None and default is None:
         return None
     if not analytic._is_number(value):
-        raise ValueError(f"{key!r} must be a number, got {json.dumps(value)}")
+        raise ValueError(f"{key!r} must be a finite number, got {json.dumps(value)}")
     return float(value)
 
 
@@ -97,7 +97,7 @@ def _typed(data: dict, key: str, default, kind: type):
 def _parse_flow_config(data: dict) -> flow.FlowSpec:
     if not isinstance(data, dict):
         raise ValueError("'flow' must be a JSON object")
-    spec = flow.FlowSpec(
+    return flow.FlowSpec(
         kind=data.get("kind", flow.CURVE_DIFFUSION),
         scheme=data.get("scheme", flow.SEMI_IMPLICIT),
         dt=None if data.get("dt") == "auto" else _number(data, "dt", None),
@@ -107,8 +107,6 @@ def _parse_flow_config(data: dict) -> flow.FlowSpec:
         length_min=_number(data, "length_min", None),
         min_spacing=_number(data, "min_spacing", None),
     )
-    spec.validate()
-    return spec
 
 
 def _load_input_curve(data: dict):

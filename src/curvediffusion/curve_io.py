@@ -1,8 +1,10 @@
 """File formats: curve CSV, monitor CSV, SVG snapshots, run directories.
 
 All writers are deterministic: identical inputs produce byte-identical
-output. Floats are emitted with 17 significant digits (round-trip exact
-for IEEE doubles) and newlines are always '\\n'.
+output. Floats are emitted with 17 significant digits (%.17g, round-trip
+exact for IEEE doubles): each format is one row template filled from a
+whole table at once. Every file is written through one UTF-8 writer whose
+newlines are always '\\n'.
 
 Curve CSV contract: UTF-8, optional '#' comment lines, a mandatory
 leading comment `# closed=true` or `# closed=false`, a header line `x,y`,
@@ -22,18 +24,22 @@ from .geometry import DiscreteCurve
 from .monitor import MonitorSeries
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _rows(template: str, table: np.ndarray) -> str:
+    """`template` filled from each row of a 2-D float table, in one % call."""
+    return (template * len(table)) % tuple(table.ravel().tolist())
+
+
+def _write_text(path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def curve_to_csv(curve: DiscreteCurve) -> str:
-    lines = [f"# closed={'true' if curve.closed else 'false'}", "x,y"]
-    lines.extend(f"{_fmt(x)},{_fmt(y)}" for x, y in curve.nodes)
-    return "\n".join(lines) + "\n"
+    flag = "true" if curve.closed else "false"
+    return f"# closed={flag}\nx,y\n" + _rows("%.17g,%.17g\n", curve.nodes)
 
 
 def write_curve_csv(curve: DiscreteCurve, path) -> None:
-    Path(path).write_text(curve_to_csv(curve), encoding="utf-8", newline="\n")
+    _write_text(path, curve_to_csv(curve))
 
 
 def curve_from_csv(text: str) -> DiscreteCurve:
@@ -84,20 +90,18 @@ def read_curve_csv(path) -> DiscreteCurve:
 
 
 def monitors_to_csv(series: MonitorSeries) -> str:
-    """monitors.csv contract: columns t,L,A,I,Q,diss; I blank when undefined."""
-    lines = ["t,L,A,I,Q,diss"]
-    for i in range(series.t.size):
-        ratio = "" if np.isnan(series.I[i]) else _fmt(series.I[i])
-        area = "" if np.isnan(series.A[i]) else _fmt(series.A[i])
-        lines.append(
-            f"{_fmt(series.t[i])},{_fmt(series.L[i])},{area},{ratio},"
-            f"{_fmt(series.Q[i])},{_fmt(series.diss[i])}"
-        )
-    return "\n".join(lines) + "\n"
+    """monitors.csv contract: columns t,L,A,I,Q,diss; A and I blank when NaN."""
+    table = np.column_stack([series.t, series.L, series.A, series.I, series.Q, series.diss])
+    # A NaN A or I cell drops its %.17g from that row's template.
+    shown = np.ones(table.shape, dtype=bool)
+    shown[:, 2:4] = ~np.isnan(table[:, 2:4])
+    template = "".join(",".join(row) + "\n"
+                       for row in np.where(shown, "%.17g", "").tolist())
+    return "t,L,A,I,Q,diss\n" + template % tuple(table[shown].tolist())
 
 
 def write_monitors_csv(series: MonitorSeries, path) -> None:
-    Path(path).write_text(monitors_to_csv(series), encoding="utf-8", newline="\n")
+    _write_text(path, monitors_to_csv(series))
 
 
 def curve_to_svg(curve: DiscreteCurve) -> str:
@@ -112,25 +116,17 @@ def curve_to_svg(curve: DiscreteCurve) -> str:
     x0, y0 = lo[0] - pad, lo[1] - pad
     w, h = hi[0] - lo[0] + 2.0 * pad, hi[1] - lo[1] + 2.0 * pad
 
-    moves = [f"M {_fmt(pts[0, 0])} {_fmt(pts[0, 1])}"]
-    moves.extend(f"L {_fmt(x)} {_fmt(y)}" for x, y in pts[1:])
-    if curve.closed:
-        moves.append("Z")
-    path_data = " ".join(moves)
-    stroke = _fmt(0.004 * max(w, h))
+    path_data = (_rows("M %.17g %.17g", pts[:1]) + _rows(" L %.17g %.17g", pts[1:])
+                 + (" Z" if curve.closed else ""))
     return (
-        '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">\n'
-        f'  <path d="{path_data}" fill="none" stroke="black" '
-        f'stroke-width="{stroke}"/>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.17g %.17g %.17g %.17g">\n'
+        '  <path d="%s" fill="none" stroke="black" stroke-width="%.17g"/>\n'
         "</svg>\n"
-    )
+    ) % (x0, y0, w, h, path_data, 0.004 * max(w, h))
 
 
 def write_json(obj, path) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
 def write_run_directory(out_dir, config: dict, traj, scale_fit=None,
@@ -145,9 +141,7 @@ def write_run_directory(out_dir, config: dict, traj, scale_fit=None,
     for i, curve in enumerate(traj.snapshots):
         write_curve_csv(curve, snap_dir / f"t_{i}.csv")
         if emit_svg:
-            (snap_dir / f"t_{i}.svg").write_text(
-                curve_to_svg(curve), encoding="utf-8", newline="\n"
-            )
+            _write_text(snap_dir / f"t_{i}.svg", curve_to_svg(curve))
     write_monitors_csv(traj.monitors, out / "monitors.csv")
 
     result = {

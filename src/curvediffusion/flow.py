@@ -86,7 +86,7 @@ class FlowSpec:
     length_min: float | None = None
     min_spacing: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in FLOW_KINDS:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if self.scheme not in SCHEMES:
@@ -215,7 +215,6 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
     the next step, the automatic dt, the stop rules and the monitor row
     of a snapshot.
     """
-    spec.validate()
     state = curve
     if spec.redistribute_every > 0:
         state = resample_uniform(state, curve.n)

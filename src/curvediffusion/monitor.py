@@ -139,8 +139,8 @@ def time_bounds(L0: float) -> LifespanBounds:
     All three bounds are quartic in L0. The ordering
     T_fig8 < T_tilde < T_star holds for every positive length.
     """
-    if L0 <= 0.0:
-        raise DomainError(f"time_bounds requires L0 > 0, got {L0}")
+    if not (np.isfinite(L0) and L0 > 0.0):
+        raise DomainError(f"time_bounds requires a finite L0 > 0, got {L0}")
     k = elliptic_K(-1.0)
     t_star = L0**4 / (64.0 * np.pi**4)
     t_tilde = L0**4 / (768.0 * np.pi**2)

@@ -96,7 +96,7 @@ def test_step_overflow_raises(lemniscate_512):
 )
 def test_flow_spec_validation(kwargs):
     with pytest.raises(ValueError):
-        cd.FlowSpec(**kwargs).validate()
+        cd.FlowSpec(**kwargs)
 
 
 # ---------------------------------------------------------------------------

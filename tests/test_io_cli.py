@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -480,6 +481,51 @@ def test_cli_evolve_wrongly_typed_value(tmp_path, capsys, mutate):
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert cli.main(["evolve", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _config_argv(mutate):
+    """argv for `evolve` on the default config after `mutate`, as a function of tmp_path."""
+    def argv(tmp_path):
+        config = _evolve_config(tmp_path)
+        mutate(config)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")  # NaN, Infinity allowed
+        return ["evolve", str(cfg_path)]
+    return argv
+
+
+_HUGE_INT = 10**400  # 401 digits: a valid JSON number too large for a double
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (_config_argv(lambda c: c["flow"].update(snapshot_every=math.inf)), "snapshot_every"),
+        (_config_argv(lambda c: c["flow"].update(redistribute_every=math.inf)),
+         "redistribute_every"),
+        (_config_argv(lambda c: c["input"].update(nodes=math.inf)), "nodes"),
+        (_config_argv(lambda c: c["flow"].update(t_end=_HUGE_INT)), "t_end"),
+        (_config_argv(lambda c: c["input"].update(
+            spec={"kind": "circle", "radius": _HUGE_INT})), "radius"),
+        (_config_argv(lambda c: c["input"].update(
+            spec={"kind": "circle", "radius": 1.0, "center": [-math.inf, 0]})), "center"),
+        (_config_argv(lambda c: c["flow"].update(length_min=math.nan)), "length_min"),
+        (lambda tmp_path: ["generate", "--kind", "circle", "--radius", "nan",
+                           "--out", str(tmp_path / "circle.csv")], "radius"),
+        (lambda tmp_path: ["bounds", "nan"], "L0"),
+        (lambda tmp_path: ["bounds", "inf"], "L0"),
+    ],
+    ids=["snapshot_every_inf", "redistribute_every_inf", "nodes_inf", "t_end_huge_int",
+         "radius_huge_int", "center_minus_inf", "length_min_nan", "generate_radius_nan",
+         "bounds_nan", "bounds_inf"],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, argv, named):
+    code, err = _run_cli(argv(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    # Rejected up front by name, not by a later numerical failure.
+    assert named in err and "finite" in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "circle.csv").exists()
 
 
 _JSON_TYPES = {

@@ -161,7 +161,7 @@ def test_time_bounds_ordering():
         assert b.T_fig8 < b.T_tilde < b.T_star
 
 
-@pytest.mark.parametrize("L0", [0.0, -1.0])
+@pytest.mark.parametrize("L0", [0.0, -1.0, float("nan"), float("inf")])
 def test_time_bounds_domain(L0):
     with pytest.raises(cd.DomainError):
         cd.time_bounds(L0)
