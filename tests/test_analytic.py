@@ -148,6 +148,45 @@ def test_fresnel_matches_scipy_clothoid():
     assert np.max(np.abs(pts - np.column_stack([C, S]))) < 1e-12
 
 
+def _fresnel_reference(spec, s):
+    """Closed form of the spiral family for c2 != 0, by completing the square.
+
+    integral_0^s exp(i (c1 t + c2 t^2)) dt
+        = exp(-i c1^2 / (4 c2)) sqrt(pi / (2 |c2|)) [E(u(s)) - E(u(0))]
+    with u(t) = (t + c1 / (2 c2)) sqrt(2 |c2| / pi) and E = C + i S the
+    scipy Fresnel integrals; for c2 < 0 the integrand is the conjugate of
+    the one for (-c1, -c2).
+    """
+    c1, c2 = (spec.c1, spec.c2) if spec.c2 > 0 else (-spec.c1, -spec.c2)
+    scale = np.sqrt(2.0 * c2 / np.pi)
+
+    def e(t):
+        S, C = sps.fresnel((t + c1 / (2.0 * c2)) * scale)
+        return C + 1j * S
+
+    z = np.exp(-1j * c1**2 / (4.0 * c2)) / scale * (e(s) - e(0.0))
+    if spec.c2 < 0:
+        z = np.conj(z)
+    z = z * np.exp(1j * spec.theta) + complex(*spec.v)
+    return np.column_stack([z.real, z.imag])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        cd.FresnelFamily(c1=3.0, c2=-2.0, s_min=-1.0, s_max=1.0),
+        cd.FresnelFamily(c1=13.0, c2=2.0, s_min=-1.0, s_max=1.0),
+        cd.FresnelFamily(c1=0.0, c2=40.0, s_min=0.5, s_max=2.0),
+        cd.FresnelFamily(c1=1.0, c2=-0.5, theta=0.3, v=(1.0, 2.0), s_min=-1.0, s_max=2.0),
+    ],
+    ids=["c1=3,c2=-2", "c1=13,c2=2", "c2=40", "c1=1,c2=-0.5,moved"],
+)
+def test_fresnel_sample_matches_closed_form(spec):
+    s = np.linspace(spec.s_min, spec.s_max, 257)
+    got = cd.sample_analytic(spec, 257).nodes
+    assert np.max(np.abs(got - _fresnel_reference(spec, s))) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 
