@@ -13,9 +13,11 @@ followed by a rotation and a translation; the resulting curve is
 arc-length parametrized with curvature kappa(s) = 2 c2 s + c1. The
 complete elliptic integral K(m) fixes the lemniscate's length 4 K(-1).
 
-Everything here is a pure function; quadratures are adaptive Simpson with
-interval bisection to absolute tolerance 1e-12, with no special-function
-dependency so the values can be certified by Richardson extrapolation.
+Everything here is a pure function with no special-function dependency.
+Both quadratures use one composite 16-point Gauss-Legendre rule on panels
+laid out in advance from the integrand: the spiral's panels keep the
+tangent's turn below 1 rad, and the panels for K(m) grow geometrically
+away from the integrand's peak.
 """
 
 from __future__ import annotations
@@ -32,60 +34,30 @@ from .geometry import DiscreteCurve
 # polygon; derivative operators impose their own stricter floor.
 MIN_SAMPLE_NODES = 4
 
-_QUAD_TOL = 1e-12
-_QUAD_MAX_DEPTH = 60
+# A panel layout that would need more than _MAX_PANELS panels is refused
+# before it is allocated.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_MAX_PANELS = 2**20
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float = _QUAD_TOL,
-                      max_depth: int = _QUAD_MAX_DEPTH):
-    """Adaptive composite Simpson integral of f over [a, b].
+def _gauss_legendre(f, edges: np.ndarray) -> np.ndarray:
+    """Integral of f over each panel [edges[i], edges[i + 1]].
 
-    Works for real- or complex-valued f. Each bisection halves the local
-    tolerance; the accepted estimate includes the standard (S_fine -
-    S_coarse)/15 correction. Raises QuadratureFailure at the depth limit,
-    or earlier if an unconverged interval shrinks below the spacing of
-    representable floats (its midpoint collapses onto an endpoint, which
-    would otherwise make the error estimate vacuously zero).
+    f takes an array; it is called once per node with one point in every
+    panel, so memory stays proportional to the number of panels.
     """
-    if a == b:
-        return 0.0 * f(a)
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    return half * sum(w * f(mid + x * half) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
 
-    def simpson(x0, x2, f0, f2):
-        x1 = 0.5 * (x0 + x2)
-        f1 = f(x1)
-        return x1, f1, (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
-    fa, fb = f(a), f(b)
-    m, fm, whole = simpson(a, b, fa, fb)
-    total = 0.0 * fa
-    # Stack of (left, mid, right, f(left), f(mid), f(right), S, tol, depth).
-    stack = [(a, m, b, fa, fm, fb, whole, tol, 0)]
-    while stack:
-        x0, x1, x2, f0, f1, f2, s_whole, loc_tol, depth = stack.pop()
-        if not (x0 < x1 < x2):
-            raise QuadratureFailure(
-                f"integrand did not converge before the interval near "
-                f"{x0:.6g} collapsed to machine precision"
-            )
-        lm, flm, s_left = simpson(x0, x1, f0, f1)
-        rm, frm, s_right = simpson(x1, x2, f1, f2)
-        err = s_left + s_right - s_whole
-        if abs(err) <= 15.0 * loc_tol:
-            total += s_left + s_right + err / 15.0
-            continue
-        if depth >= max_depth:
-            raise QuadratureFailure(
-                f"adaptive Simpson did not converge within {max_depth} "
-                f"bisections on [{x0:.6g}, {x2:.6g}]"
-            )
-        half = 0.5 * loc_tol
-        stack.append((x0, lm, x1, f0, flm, f1, s_left, half, depth + 1))
-        stack.append((x1, rm, x2, f1, frm, f2, s_right, half, depth + 1))
-    return sign * total
+def _require_panels(count: float) -> None:
+    # Checked on the float count, before anything of that size is allocated;
+    # a NaN count is refused too.
+    if not count <= _MAX_PANELS:
+        raise QuadratureFailure(
+            f"quadrature would need {count:.3g} panels, more than {_MAX_PANELS}"
+        )
 
 
 def _elliptic_k_agm(m: float) -> float:
@@ -99,29 +71,37 @@ def _elliptic_k_agm(m: float) -> float:
 
 
 def _elliptic_k_quadrature(m: float) -> float:
-    def integrand(theta):
-        return 1.0 / np.sqrt(1.0 - m * np.sin(theta) ** 2)
-
-    return float(_adaptive_simpson(integrand, 0.0, np.pi / 2.0, tol=1e-14))
+    # K(m) = integral_0^{pi/2} (a + b sin^2 t)^(-1/2) dt with a, b >= 0: t = theta
+    # for m <= 0 (a = 1, b = -m), t = pi/2 - theta for m > 0 (a = 1 - m, b = m),
+    # which puts the peak at t = 0 and avoids the cancellation in
+    # 1 - m sin^2 theta as m -> 1. The peak has width about sqrt(a / b); the
+    # panels start at that width and double up to pi/2.
+    a, b = (1.0, -m) if m <= 0.0 else (1.0 - m, m)
+    steep = np.sqrt(b / a)
+    doublings = np.ceil(np.log2(max(np.pi / 2.0 * steep, 1.0)))
+    _require_panels(doublings + 1.0)
+    edges = np.concatenate([[0.0], 2.0 ** np.arange(int(doublings)) / steep, [np.pi / 2.0]])
+    panels = _gauss_legendre(lambda t: 1.0 / np.sqrt(a + b * np.sin(t) ** 2), edges)
+    return float(np.sum(panels))
 
 
 def elliptic_K(m: float, method: str = "auto") -> float:
     """Complete elliptic integral of the first kind, parameter form.
 
     K(m) = integral_0^{pi/2} (1 - m sin^2 theta)^(-1/2) dtheta for m < 1.
-    The default route uses the AGM iteration for 0 <= m < 1 and adaptive
-    quadrature for m < 0; pass method="agm" or method="quadrature" to pin
-    one route (the two cross-check each other to about 1e-12).
+    The default route ("auto", the same as "agm") is the AGM iteration
+    K(m) = pi / (2 AGM(1, sqrt(1 - m))), which holds for every m < 1.
+    method="quadrature" integrates the definition instead, with composite
+    Gauss-Legendre panels graded toward the integrand's peak, as an
+    independent check; the two agree to about 1e-15 relative.
     """
     if m >= 1.0:
         raise DomainError(f"elliptic_K requires m < 1, got {m}")
-    if method == "agm":
-        return _elliptic_k_agm(m)
     if method == "quadrature":
         return _elliptic_k_quadrature(m)
-    if method != "auto":
+    if method not in ("auto", "agm"):
         raise ValueError(f"unknown method {method!r}")
-    return _elliptic_k_agm(m) if m >= 0.0 else _elliptic_k_quadrature(m)
+    return _elliptic_k_agm(m)
 
 
 @dataclass(frozen=True)
@@ -260,36 +240,35 @@ def _check_orientation(value: int) -> None:
         raise DomainError(f"orientation must be +1 or -1, got {value}")
 
 
-def _fresnel_integrand(spec: FresnelFamily):
-    c1, c2 = spec.c1, spec.c2
-
-    def f(t):
-        return np.exp(1j * (c1 * t + c2 * t * t))
-
-    return f
-
-
 def fresnel_point(s: float, spec: FresnelFamily) -> np.ndarray:
     """Point of the spiral family at arc length s (before orientation).
 
-    Evaluates the cosine and sine quadratures to absolute tolerance 1e-12,
-    then applies the family's rotation and translation.
+    Integrates the unit tangent exp(i (c1 t + c2 t^2)) from 0 to s with
+    composite Gauss-Legendre panels short enough that the tangent turns by
+    at most 1 rad on each, then applies the family's rotation and
+    translation. Raises QuadratureFailure when that would need more than
+    2**20 panels.
     """
     return _fresnel_sample(spec, np.array([float(s)]))[0]
 
 
 def _fresnel_sample(spec: FresnelFamily, s_values: np.ndarray) -> np.ndarray:
-    # Integrate segment by segment so an N-point sample costs N short
-    # quadratures instead of N integrals from zero. Per-segment tolerance
-    # is tightened so the accumulated error stays near 1e-12.
-    f = _fresnel_integrand(spec)
-    seg_tol = _QUAD_TOL / max(1, len(s_values))
-    z = np.empty(len(s_values), dtype=complex)
-    z[0] = _adaptive_simpson(f, 0.0, float(s_values[0]), tol=_QUAD_TOL)
-    for i in range(1, len(s_values)):
-        z[i] = z[i - 1] + _adaptive_simpson(
-            f, float(s_values[i - 1]), float(s_values[i]), tol=seg_tol
-        )
+    # The path 0 -> s_0 -> s_1 -> ... is cut into segments, and each segment
+    # into k equal panels, so that the phase c1 t + c2 t^2, whose slope is at
+    # most `rate` on the path, changes by at most 1 rad on any panel.
+    c1, c2 = spec.c1, spec.c2
+    path = np.concatenate([[0.0], s_values])
+    step = np.diff(path)
+    rate = abs(c1) + 2.0 * abs(c2) * np.max(np.abs(path))
+    per_segment = np.maximum(np.ceil(rate * np.abs(step)), 1.0)
+    _require_panels(per_segment.sum())
+    k = per_segment.astype(int)
+    ends = np.cumsum(k)
+    seg = np.repeat(np.arange(len(k)), k)
+    frac = (np.arange(ends[-1]) - (ends - k)[seg]) / k[seg]
+    edges = np.append(path[seg] + step[seg] * frac, path[-1])
+    panels = _gauss_legendre(lambda t: np.exp(1j * (c1 * t + c2 * t * t)), edges)
+    z = np.cumsum(panels)[ends - 1]
     base = np.column_stack([z.real, z.imag])
     ct, st = np.cos(spec.theta), np.sin(spec.theta)
     rot = np.array([[ct, -st], [st, ct]])

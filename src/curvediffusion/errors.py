@@ -32,7 +32,7 @@ class HypothesisViolated(CurveDiffusionError):
 
 
 class QuadratureFailure(CurveDiffusionError):
-    """Adaptive quadrature did not reach tolerance within the depth limit."""
+    """A quadrature would need more panels than its fixed cap allows."""
 
 
 class DomainError(CurveDiffusionError):

@@ -22,6 +22,7 @@ error, since the zero-area shrinker is a primary test subject.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,6 +30,11 @@ import numpy as np
 from .analytic import elliptic_K
 from .errors import DomainError, OpenCurve, Undefined
 from .geometry import CurveFields, DiscreteCurve, curve_fields, length, signed_area
+
+# T_star, T_tilde and T_fig8 are L0^4 divided by these, so the ratios
+# T_star/T_fig8 and T_tilde/T_fig8 are the same for every L0.
+_DENOMINATORS = (64.0 * np.pi**4, 768.0 * np.pi**2, 3.0 * 2.0**11 * elliptic_K(-1.0) ** 4)
+_RATIOS = (_DENOMINATORS[2] / _DENOMINATORS[0], _DENOMINATORS[2] / _DENOMINATORS[1])
 
 # |A| below this times L^2 counts as zero area (undefined ratio).
 _ZERO_AREA_FACTOR = 1e-12
@@ -137,18 +143,18 @@ def time_bounds(L0: float) -> LifespanBounds:
     """Lifespan bounds and their ratios for initial length L0.
 
     All three bounds are quartic in L0. The ordering
-    T_fig8 < T_tilde < T_star holds for every positive length.
+    T_fig8 < T_tilde < T_star holds for every positive length, and the
+    ratios are the same for every L0. Raises DomainError unless L0 is
+    finite and positive and every bound is a finite normal double.
     """
     if not (np.isfinite(L0) and L0 > 0.0):
         raise DomainError(f"time_bounds requires a finite L0 > 0, got {L0}")
-    k = elliptic_K(-1.0)
-    t_star = L0**4 / (64.0 * np.pi**4)
-    t_tilde = L0**4 / (768.0 * np.pi**2)
-    t_fig8 = L0**4 / (3.0 * 2.0**11 * k**4)
-    return LifespanBounds(
-        T_star=t_star,
-        T_tilde=t_tilde,
-        T_fig8=t_fig8,
-        ratio_star=t_star / t_fig8,
-        ratio_tilde=t_tilde / t_fig8,
-    )
+    # Float products overflow to inf where L0**4 would raise OverflowError;
+    # dividing before the last product keeps every bound that fits finite.
+    square = L0 * L0
+    bounds = [square * (square / d) for d in _DENOMINATORS]
+    if not all(sys.float_info.min <= t < np.inf for t in bounds):
+        raise DomainError(
+            f"time_bounds: L0 = {L0} puts a lifespan bound outside the double range"
+        )
+    return LifespanBounds(*bounds, *_RATIOS)

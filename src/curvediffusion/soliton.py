@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurveDiffusionError, DegenerateGeometry, OpenCurve
+from .errors import CurveDiffusionError, DegenerateGeometry, DomainError, OpenCurve
 from .geometry import CurveFields, DiscreteCurve, _d_ds, curve_fields
 
 # Relative threshold for degenerate normal equations.
@@ -219,8 +219,10 @@ def classify(curve: DiscreteCurve, tol: float = DEFAULT_TOL) -> SolitonReport:
     specific description should win. A shrinker verdict with K > 0 is
     relabelled "expander". If no residual is below tol the verdict is
     None. Fit errors become per-class entries in `unavailable` rather
-    than exceptions.
+    than exceptions. tol must be a finite positive number (DomainError).
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"classify tol must be a finite positive number, got {tol}")
     fields = curve_fields(curve)
     fits: dict[str, object] = {}
     unavailable: dict[str, str] = {}

@@ -8,7 +8,6 @@ import pytest
 import scipy.special as sps
 
 import curvediffusion as cd
-from curvediffusion.analytic import _adaptive_simpson
 
 K_MINUS_ONE = 1.31102877714605987
 
@@ -33,8 +32,26 @@ def test_elliptic_k_dual_route():
 
 
 def test_elliptic_k_matches_scipy():
-    for m in np.linspace(-5.0, 0.95, 25):
-        assert cd.elliptic_K(m) == pytest.approx(sps.ellipk(m), abs=1e-12)
+    for m in [-1e8, -1e6, -100.0, *np.linspace(-5.0, 0.95, 25)]:
+        for method in ("auto", "quadrature"):
+            assert cd.elliptic_K(m, method=method) == pytest.approx(sps.ellipk(m), abs=1e-12)
+
+
+def test_elliptic_k_auto_is_agm():
+    # The quadrature route stays an independent check: the default never uses it.
+    for m in [-1e6, -5.0, -1.0, -0.3, 0.0, 0.5, 0.99]:
+        assert cd.elliptic_K(m) == cd.elliptic_K(m, method="agm")
+
+
+@pytest.mark.parametrize("m", [0.9999, 0.999999])
+def test_elliptic_k_quadrature_near_one(m):
+    # Close to the log singularity at m = 1 the quadrature route may refuse,
+    # but it must never return a value that is silently off.
+    try:
+        value = cd.elliptic_K(m, method="quadrature")
+    except cd.QuadratureFailure:
+        return
+    assert value == pytest.approx(sps.ellipk(m), rel=1e-12)
 
 
 def test_elliptic_k_strictly_increasing():
@@ -56,11 +73,6 @@ def test_elliptic_k_bad_method():
 
 # ---------------------------------------------------------------------------
 # Quadrature failure paths
-
-
-def test_adaptive_simpson_depth_limit():
-    with pytest.raises(cd.QuadratureFailure):
-        _adaptive_simpson(lambda x: np.sin(50.0 * x), 0.0, 1.0, 1e-12, 4)
 
 
 def test_fresnel_unresolvable_frequency():

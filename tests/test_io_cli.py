@@ -665,6 +665,22 @@ def test_cli_bounds_json_file(tmp_path, capsys):
     )
 
 
+_OUT_OF_RANGE = {
+    **{f"tol_{t}": ["check", "circle_256.csv", "--tol", t] for t in ("nan", "inf", "-1", "0")},
+    **{f"bounds_{L0}": ["bounds", L0] for L0 in ("1e100", "1e-100", "1e-80")},
+}
+
+
+@pytest.mark.parametrize("argv", list(_OUT_OF_RANGE.values()), ids=list(_OUT_OF_RANGE))
+def test_cli_rejects_out_of_range_values(tmp_path, fixture_dir, monkeypatch, argv):
+    monkeypatch.chdir(fixture_dir)
+    out = tmp_path / "out.json"
+    code, err = _run_cli(argv + ["--json", str(out)])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "curvediffusion", "bounds", "1.0"],

@@ -156,15 +156,21 @@ def test_time_bounds_quartic_homogeneity():
 
 
 def test_time_bounds_ordering():
-    for L0 in np.logspace(-3, 3, 13):
+    # 5e77 has a fourth power beyond the double range but bounds within it.
+    for L0 in [*np.logspace(-3, 3, 13), 1e-70, 5e77]:
         b = cd.time_bounds(L0)
         assert b.T_fig8 < b.T_tilde < b.T_star
 
 
-@pytest.mark.parametrize("L0", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("L0", [0.0, -1.0, float("nan"), float("inf"), 1e100, 1e-100, 1e-80])
 def test_time_bounds_domain(L0):
     with pytest.raises(cd.DomainError):
         cd.time_bounds(L0)
+
+
+def test_time_bounds_ratios_do_not_depend_on_length():
+    ratios = {(b.ratio_star, b.ratio_tilde) for b in map(cd.time_bounds, (1e-60, 1.0, 1e60))}
+    assert len(ratios) == 1
 
 
 def test_time_bounds_dict():
