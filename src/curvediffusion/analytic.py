@@ -23,7 +23,7 @@ away from the integrand's peak.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -331,27 +331,54 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+# Field annotation (a string, by `from __future__`) -> (JSON type, its test, conversion).
+_JSON_TYPES = {
+    "float": ("a finite number", _is_number, float),
+    "int": ("a finite integer", lambda v: _is_number(v) and float(v).is_integer(), int),
+    "tuple[float, float]": (
+        "a pair of finite numbers",
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+        lambda v: (float(v[0]), float(v[1]))),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
+    "dict": ("a JSON object", lambda v: isinstance(v, dict), dict),
+}
+
+
+def _from_json(cls, data, where: str):
+    """cls(**data) for a dataclass cls whose every `X | None` field defaults to None.
+
+    Each key must be a field, its value of the field's type in _JSON_TYPES or,
+    for `X | None`, null. Raises ValueError naming the offending key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    annotations = {f.name: f.type for f in fields(cls)}
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in data:
+            raise ValueError(f"{where} is missing the {f.name!r} field")
+    values = {}
+    for key, value in data.items():
+        if key not in annotations:
+            raise ValueError(f"{where} has no field {key!r}; fields: {', '.join(annotations)}")
+        if value is None and annotations[key].endswith(" | None"):
+            continue
+        expected, accepts, convert = _JSON_TYPES[annotations[key].removesuffix(" | None")]
+        if not accepts(value):
+            raise ValueError(f"{where} field {key!r} must be {expected}, got {value!r}")
+        values[key] = convert(value)
+    return cls(**values)
+
+
 def spec_from_dict(data: dict) -> AnalyticCurveSpec:
     """Inverse of spec_to_dict; raises ValueError on malformed input.
 
-    Every field must be a finite JSON number, or a pair of them for the
-    vector fields center, v, point and direction.
+    `kind` names the class and every other key must be one of its fields,
+    typed as _from_json requires; omitted fields take the class defaults.
     """
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("analytic spec JSON must be an object with a 'kind' field")
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in _SPEC_KINDS:
         raise ValueError(f"unknown analytic curve kind {kind!r}")
-    fields = {k: v for k, v in data.items() if k != "kind"}
-    for key, value in fields.items():
-        if key in ("center", "v", "point", "direction"):
-            if not (isinstance(value, (list, tuple)) and len(value) == 2
-                    and all(map(_is_number, value))):
-                raise ValueError(f"field {key!r} must be a pair of finite numbers")
-            fields[key] = (float(value[0]), float(value[1]))
-        elif not _is_number(value):
-            raise ValueError(f"field {key!r} must be a finite number")
-    try:
-        return _SPEC_KINDS[kind](**fields)
-    except TypeError as exc:
-        raise ValueError(f"bad fields for {kind!r} spec: {exc}") from exc
+    return _from_json(_SPEC_KINDS[kind], {k: v for k, v in data.items() if k != "kind"},
+                      f"{kind!r} spec")

@@ -1,5 +1,8 @@
 """Command-line interface: generate, evolve, check, bounds.
 
+An `evolve` config is read by analytic._from_json into _RunConfig, _InputConfig,
+an analytic spec and flow.FlowSpec, whose fields are its only schema.
+
 Exit codes: 0 success (check: a verdict exists), 1 check found no verdict,
 2 invalid input or configuration, 3 file I/O failure.
 """
@@ -9,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import analytic, curve_io, flow, monitor, soliton
@@ -75,52 +78,28 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _number(data: dict, key: str, default) -> float | None:
-    """data[key], or default when absent, as a float. It must be a finite
-    JSON number; null is accepted only where the default is None."""
-    value = data.get(key, default)
-    if value is None and default is None:
-        return None
-    if not analytic._is_number(value):
-        raise ValueError(f"{key!r} must be a finite number, got {json.dumps(value)}")
-    return float(value)
+@dataclass(frozen=True)
+class _RunConfig:
+    """Top level of an `evolve` config; `flow` is read as a flow.FlowSpec."""
+
+    input: dict
+    flow: dict
+    out_dir: str
+    fit_scale: bool = True
+    emit_svg: bool = False
 
 
-def _typed(data: dict, key: str, default, kind: type):
-    """data[key], or default when absent, which must be a `kind` (str or bool)."""
-    value = data.get(key, default)
-    if not isinstance(value, kind):
-        raise ValueError(f"{key!r} must be a {kind.__name__}, got {json.dumps(value)}")
-    return value
+@dataclass(frozen=True)
+class _InputConfig:
+    """The `input` object: a curve CSV path, or an analytic spec sampled at `nodes`."""
 
+    path: str | None = None
+    spec: dict | None = None
+    nodes: int = 256
 
-def _parse_flow_config(data: dict) -> flow.FlowSpec:
-    if not isinstance(data, dict):
-        raise ValueError("'flow' must be a JSON object")
-    return flow.FlowSpec(
-        kind=data.get("kind", flow.CURVE_DIFFUSION),
-        scheme=data.get("scheme", flow.SEMI_IMPLICIT),
-        dt=None if data.get("dt") == "auto" else _number(data, "dt", None),
-        t_end=_number(data, "t_end", 1.0),
-        redistribute_every=int(_number(data, "redistribute_every", 10)),
-        snapshot_every=int(_number(data, "snapshot_every", 10)),
-        length_min=_number(data, "length_min", None),
-        min_spacing=_number(data, "min_spacing", None),
-    )
-
-
-def _load_input_curve(data: dict):
-    if not isinstance(data, dict):
-        raise ValueError("'input' must be a JSON object")
-    has_path = "path" in data
-    has_spec = "spec" in data
-    if has_path == has_spec:
-        raise ValueError("'input' needs exactly one of 'path' or 'spec'")
-    if has_path:
-        return curve_io.read_curve_csv(_typed(data, "path", None, str))
-    spec = analytic.spec_from_dict(data["spec"])
-    nodes = int(_number(data, "nodes", 256))
-    return analytic.sample_analytic(spec, nodes)
+    def __post_init__(self) -> None:
+        if (self.path is None) == (self.spec is None):
+            raise ValueError("'input' needs exactly one of 'path' or 'spec'")
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
@@ -128,27 +107,24 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ValueError("config must be a JSON object")
-    for key in ("input", "flow", "out_dir"):
-        if key not in config:
-            raise ValueError(f"config is missing the {key!r} field")
-
-    out_dir = _typed(config, "out_dir", None, str)
-    fit_scale = _typed(config, "fit_scale", True, bool)
-    emit_svg = _typed(config, "emit_svg", False, bool)
-    curve = _load_input_curve(config["input"])
-    spec = _parse_flow_config(config["flow"])
+    run = analytic._from_json(_RunConfig, config, "config")
+    source = analytic._from_json(_InputConfig, run.input, "'input'")
+    flow_data = {**run.flow, "dt": None} if run.flow.get("dt") == "auto" else run.flow
+    spec = analytic._from_json(flow.FlowSpec, flow_data, "'flow'")
+    if source.path is not None:
+        curve = curve_io.read_curve_csv(source.path)
+    else:
+        curve = analytic.sample_analytic(analytic.spec_from_dict(source.spec), source.nodes)
     traj = flow.evolve(curve, spec)
 
     scale_fit = None
-    if fit_scale:
+    if run.fit_scale:
         try:
             scale_fit = flow.fit_scale_profile(traj)
         except TooFewSnapshots:
             scale_fit = None
-    curve_io.write_run_directory(out_dir, config, traj, scale_fit=scale_fit,
-                                 emit_svg=emit_svg)
+    curve_io.write_run_directory(run.out_dir, config, traj, scale_fit=scale_fit,
+                                 emit_svg=run.emit_svg)
     return 0
 
 

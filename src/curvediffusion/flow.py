@@ -39,7 +39,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
 
 from .errors import NonFinite, NonRegular, SolveFailure, TooFewSnapshots
-from .geometry import CurveFields, DiscreteCurve, curve_fields, length, resample_uniform
+from .geometry import (CurveFields, DiscreteCurve, curve_fields, length, resample_uniform,
+                       segment_lengths)
 from .monitor import MonitorSeries, _row, _series
 
 CURVE_DIFFUSION = "curve_diffusion"
@@ -152,12 +153,7 @@ def _imex_solve(rhs: np.ndarray, c: float, closed: bool) -> np.ndarray:
     return solveh_banded(ab, rhs, check_finite=False)
 
 
-def _mean_spacing(curve: DiscreteCurve, total_length: float) -> float:
-    return total_length / (curve.n if curve.closed else curve.n - 1)
-
-
-def _auto_step(curve: DiscreteCurve, total_length: float, scheme: str) -> float:
-    h = _mean_spacing(curve, total_length)
+def _auto_step(h: float, scheme: str) -> float:
     if scheme == EXPLICIT:
         return EXPLICIT_DT_FACTOR * h**4
     if scheme == SEMI_IMPLICIT:
@@ -167,7 +163,7 @@ def _auto_step(curve: DiscreteCurve, total_length: float, scheme: str) -> float:
 
 def auto_dt(curve: DiscreteCurve, scheme: str) -> float:
     """Automatic step for the current mean arc spacing."""
-    return _auto_step(curve, length(curve), scheme)
+    return _auto_step(length(curve) / segment_lengths(curve).size, scheme)
 
 
 def step(curve: DiscreteCurve, dt: float, spec: FlowSpec) -> DiscreteCurve:
@@ -191,7 +187,7 @@ def _advance(curve: DiscreteCurve, fields: CurveFields, dt: float,
         with np.errstate(over="ignore", invalid="ignore"):
             new_nodes = curve.nodes + dt * v[:, None] * fields.normal
     else:
-        h = _mean_spacing(curve, fields.length)
+        h = fields.length / fields.seg.size
         try:
             incr = _imex_solve(dt * v[:, None] * fields.normal, dt / h**4, curve.closed)
         except (LinAlgError, ValueError) as exc:
@@ -232,7 +228,8 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
     times = [0.0]
     snaps = [state]
     rows = [_row(state, fields)]
-    dt = spec.dt if spec.dt is not None else _auto_step(state, fields.length, spec.scheme)
+    h = fields.length / fields.seg.size
+    dt = spec.dt if spec.dt is not None else _auto_step(h, spec.scheme)
     t = 0.0
     steps = 0
     termination = TERM_TIME_REACHED
@@ -266,7 +263,7 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
                 new = resample_uniform(state, state.n)
                 state, fields = new, curve_fields(new)
                 if spec.dt is None:
-                    dt = _auto_step(state, fields.length, spec.scheme)
+                    dt = _auto_step(fields.length / fields.seg.size, spec.scheme)
         except tuple(_FAILURE_TERMS) as exc:
             termination = _FAILURE_TERMS[type(exc)]
             break

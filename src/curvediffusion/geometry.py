@@ -272,15 +272,13 @@ def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     if m < MIN_NODES_FIELDS:
         raise TooFewNodes(f"resample_uniform needs M >= {MIN_NODES_FIELDS}, got {m}")
     seg = _require_regular(curve)
+    knots = np.concatenate([[0.0], np.cumsum(seg)])
+    total = knots[-1]
     if curve.closed:
-        knots = np.concatenate([[0.0], np.cumsum(seg)])
-        total = knots[-1]
         pts = np.vstack([curve.nodes, curve.nodes[:1]])
         spline = CubicSpline(knots, pts, bc_type="periodic")
         targets = total * np.arange(m) / m
     else:
-        knots = np.concatenate([[0.0], np.cumsum(seg)])
-        total = knots[-1]
         spline = CubicSpline(knots, curve.nodes, bc_type="not-a-knot")
         targets = total * np.arange(m) / (m - 1)
     return DiscreteCurve(spline(targets), curve.closed)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvediffusion as cd
-from curvediffusion import cli, curve_io, flow
+from curvediffusion import analytic, cli, curve_io, flow
 from conftest import repeat_node_on_step
 
 
@@ -443,44 +444,68 @@ def test_cli_evolve_input_path_and_no_fit(tmp_path):
     assert "K" not in result
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda c: c.pop("flow"),
-        lambda c: c["flow"].update(scheme="explicit", dt=1.0),
-        lambda c: c["flow"].update(t_end=-1.0),
-        lambda c: c["input"].update(path="also.csv"),  # both path and spec
-        lambda c: c["input"]["spec"].update(kind="parabola"),
-    ],
-)
-def test_cli_evolve_bad_config(tmp_path, capsys, mutate):
+def _naming(named, mutate):
+    """mutate, tagged with the text its error message must contain (the
+    test id stays the function's name)."""
+    mutate.named = named
+    return mutate
+
+
+def _assert_evolve_rejects(tmp_path, mutate):
+    """`evolve` on the mutated default config exits 2 with one error line
+    naming mutate.named, and writes no run directory."""
     config = _evolve_config(tmp_path)
     mutate(config)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    assert cli.main(["evolve", str(cfg_path)]) == 2
-    capsys.readouterr()
+    code, err = _run_cli(["evolve", str(cfg_path)])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert mutate.named in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda c: c["input"].update(nodes=[64]),
-        lambda c: c["flow"].update(t_end=None),
-        lambda c: c["flow"].update(dt=[1]),
-        lambda c: c["input"].update(spec={"kind": []}),
-        lambda c: c.update(input={"path": 5}),
-        lambda c: c.update(out_dir=7),
+        _naming("flow", lambda c: c.pop("flow")),
+        _naming("dt", lambda c: c["flow"].update(scheme="explicit", dt=1.0)),
+        _naming("t_end", lambda c: c["flow"].update(t_end=-1.0)),
+        _naming("path", lambda c: c["input"].update(path="also.csv")),  # both path and spec
+        _naming("parabola", lambda c: c["input"]["spec"].update(kind="parabola")),
+        _naming("'emit_sgv'", lambda c: c.update(emit_sgv=True)),
+        _naming("'note'", lambda c: c["input"].update(note=1)),
+        _naming("'t_edn'", lambda c: c["flow"].update(t_edn=1e-4)),
+        _naming("'radius'", lambda c: c["input"]["spec"].update(radius=1.0)),
     ],
-    ids=["nodes", "t_end", "dt", "spec_kind", "path", "out_dir"],
 )
-def test_cli_evolve_wrongly_typed_value(tmp_path, capsys, mutate):
-    config = _evolve_config(tmp_path)
-    mutate(config)
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    assert cli.main(["evolve", str(cfg_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+def test_cli_evolve_bad_config(tmp_path, mutate):
+    _assert_evolve_rejects(tmp_path, mutate)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _naming("nodes", lambda c: c["input"].update(nodes=[64])),
+        _naming("t_end", lambda c: c["flow"].update(t_end=None)),
+        _naming("dt", lambda c: c["flow"].update(dt=[1])),
+        _naming("kind", lambda c: c["input"].update(spec={"kind": []})),
+        _naming("path", lambda c: c.update(input={"path": 5})),
+        _naming("out_dir", lambda c: c.update(out_dir=7)),
+        _naming("'nodes' must be a finite integer",
+                lambda c: c["input"].update(nodes=64.5)),
+        _naming("'snapshot_every' must be a finite integer",
+                lambda c: c["flow"].update(snapshot_every=2.5)),
+        _naming("'redistribute_every' must be a finite integer",
+                lambda c: c["flow"].update(redistribute_every=0.5)),
+        _naming("'orientation' must be a finite integer",
+                lambda c: c["input"]["spec"].update(orientation=0.5)),
+    ],
+    ids=["nodes", "t_end", "dt", "spec_kind", "path", "out_dir", "nodes_fraction",
+         "snapshot_every_fraction", "redistribute_every_fraction", "orientation_fraction"],
+)
+def test_cli_evolve_wrongly_typed_value(tmp_path, mutate):
+    _assert_evolve_rejects(tmp_path, mutate)
 
 
 def _config_argv(mutate):
@@ -531,32 +556,41 @@ def test_cli_rejects_non_finite_numbers(tmp_path, argv, named):
 _JSON_TYPES = {
     "null": st.none(),
     "bool": st.booleans(),
-    "number": st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False),
+    "integer": st.integers(-10**6, 10**6),
+    "fraction": st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda v: not v.is_integer()),
     "string": st.text(max_size=8).filter(lambda v: v != "auto"),
     "array": st.lists(st.integers(-3, 3) | st.text(max_size=2), max_size=3),
     "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 }
+_NUMBER = {"integer", "fraction"}
+# Each spec base sets every field of its class.
 _SPEC_BASES = {
     "circle": {"radius": 1.0, "center": [0.5, 0.0], "orientation": 1},
-    "lemniscate": {"scale": 1.0},
-    "fresnel": {"c1": 0.0, "c2": 1.5, "theta": 0.1, "v": [0.0, 1.0], "s_min": -1.0, "s_max": 1.0},
-    "line": {"point": [0.0, 0.0], "direction": [1.0, 0.0], "s_min": 0.0, "s_max": 1.0},
+    "lemniscate": {"scale": 1.0, "orientation": -1},
+    "fresnel": {"c1": 0.0, "c2": 1.5, "theta": 0.1, "v": [0.0, 1.0], "s_min": -1.0,
+                "s_max": 1.0, "orientation": 1},
+    "line": {"point": [0.0, 0.0], "direction": [1.0, 0.0], "s_min": 0.0, "s_max": 1.0,
+             "orientation": -1},
 }
-# JSON types each config field accepts (dt also takes the string "auto").
+# JSON types each config field accepts (dt also takes the string "auto"); the
+# counts take only integral numbers.
 _CONFIG_FIELDS = {
     ("input",): {"object"}, ("flow",): {"object"}, ("out_dir",): {"string"},
     ("fit_scale",): {"bool"}, ("emit_svg",): {"bool"},
-    ("input", "path"): {"string"}, ("input", "nodes"): {"number"},
+    ("input", "path"): {"string"}, ("input", "nodes"): {"integer"},
     ("input", "spec"): {"object"}, ("input", "spec", "kind"): {"string"},
     ("flow", "kind"): {"string"}, ("flow", "scheme"): {"string"},
-    ("flow", "dt"): {"number", "null"}, ("flow", "t_end"): {"number"},
-    ("flow", "redistribute_every"): {"number"}, ("flow", "snapshot_every"): {"number"},
-    ("flow", "length_min"): {"number", "null"}, ("flow", "min_spacing"): {"number", "null"},
+    ("flow", "dt"): _NUMBER | {"null"}, ("flow", "t_end"): _NUMBER,
+    ("flow", "redistribute_every"): {"integer"}, ("flow", "snapshot_every"): {"integer"},
+    ("flow", "length_min"): _NUMBER | {"null"}, ("flow", "min_spacing"): _NUMBER | {"null"},
 }
 
 
 @st.composite
 def _wrongly_typed_config(draw):
+    """A valid config with one value of a JSON type its field does not take,
+    or with one key added that is not a field of its object."""
     kind = draw(st.sampled_from(sorted(_SPEC_BASES)))
     config = {
         "input": {"spec": {"kind": kind, **_SPEC_BASES[kind]}, "nodes": 16},
@@ -565,15 +599,23 @@ def _wrongly_typed_config(draw):
     }
     fields = dict(_CONFIG_FIELDS)
     for key, value in _SPEC_BASES[kind].items():
-        fields[("input", "spec", key)] = {"array" if isinstance(value, list) else "number"}
-    path = draw(st.sampled_from(sorted(fields)))
-    wrong = draw(st.sampled_from(sorted(set(_JSON_TYPES) - fields[path])))
-    if path == ("input", "path"):
-        config["input"] = {}  # a path input has no spec
+        fields[("input", "spec", key)] = (
+            {"array"} if isinstance(value, list) else {"integer"} if key == "orientation"
+            else _NUMBER)
+    if draw(st.booleans()):
+        level = draw(st.sampled_from([(), ("input",), ("flow",), ("input", "spec")]))
+        known = {path[-1] for path in fields if path[:-1] == level}
+        path = level + (draw(st.text(max_size=8).filter(lambda k: k not in known)),)
+        value = draw(st.one_of(*_JSON_TYPES.values()))
+    else:
+        path = draw(st.sampled_from(sorted(fields)))
+        value = draw(_JSON_TYPES[draw(st.sampled_from(sorted(set(_JSON_TYPES) - fields[path])))])
+        if path == ("input", "path"):
+            config["input"] = {}  # a path input has no spec
     parent = config
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = draw(_JSON_TYPES[wrong])
+    parent[path[-1]] = value
     return config
 
 
@@ -595,6 +637,20 @@ def test_cli_evolve_fuzz_wrong_types(tmp_path_factory, config):
     code, err = _run_cli(["evolve", str(cfg_path)])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (cfg_path.parent / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "cls", [flow.FlowSpec, *analytic._SPEC_KINDS.values(), cli._RunConfig, cli._InputConfig],
+    ids=lambda cls: cls.__name__,
+)
+def test_config_fields_have_json_readers(cls):
+    # A field of a type the reader has no entry for would fail evolve with a
+    # KeyError; the reader leaves a null out, so an `X | None` field must default to None.
+    for field in dataclasses.fields(cls):
+        assert field.type.removesuffix(" | None") in analytic._JSON_TYPES, field.name
+        if field.type.endswith(" | None"):
+            assert field.default is None, field.name
 
 
 _CSV_ROW = st.one_of(
