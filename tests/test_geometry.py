@@ -221,6 +221,95 @@ def test_arc_derivative_of_position_is_unit_tangent(lemniscate_512):
 
 
 # ---------------------------------------------------------------------------
+# Exactness: the fields are bit-equal to the plain np.roll formulas. Every
+# evolve output depends on them, so a rewrite that reorders one floating-point
+# operation must fail here rather than move a run directory.
+
+
+def _roll_d_du(f, du, closed):
+    if closed:
+        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * du)
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * du)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * du)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * du)
+    return out
+
+
+def _roll_d2_du2(f, du, closed):
+    if closed:
+        return (np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)) / du**2
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / du**2
+    out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / du**2
+    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / du**2
+    return out
+
+
+def _roll_d_ds(values, speed, closed):
+    n = values.shape[0]
+    d = _roll_d_du(values, 2.0 * np.pi / n if closed else 1.0 / (n - 1), closed)
+    return d / speed if d.ndim == 1 else d / speed[:, None]
+
+
+def _roll_fields(curve: cd.DiscreteCurve) -> dict:
+    nodes, closed, n = curve.nodes, curve.closed, curve.n
+    diff = np.roll(nodes, -1, axis=0) - nodes if closed else np.diff(nodes, axis=0)
+    seg = np.hypot(diff[:, 0], diff[:, 1])
+    du = 2.0 * np.pi / n if closed else 1.0 / (n - 1)
+    g_u = _roll_d_du(nodes, du, closed)
+    g_uu = _roll_d2_du2(nodes, du, closed)
+    speed = np.hypot(g_u[:, 0], g_u[:, 1])
+    tangent = g_u / speed[:, None]
+    cross = g_u[:, 0] * g_uu[:, 1] - g_u[:, 1] * g_uu[:, 0]
+    kappa = cross / speed**3
+    kappa_s = _roll_d_ds(kappa, speed, closed)
+    padded = seg if closed else np.append(seg, 0.0)
+    return dict(
+        tangent=tangent,
+        normal=np.column_stack([-tangent[:, 1], tangent[:, 0]]),
+        kappa=kappa,
+        kappa_s=kappa_s,
+        kappa_ss=_roll_d_ds(kappa_s, speed, closed),
+        dl=0.5 * (padded + np.roll(padded, 1)),
+        s=np.concatenate([[0.0], np.cumsum(seg[: n - 1])]),
+        seg=seg,
+        speed=speed,
+    )
+
+
+def _exactness_curves():
+    rng = np.random.default_rng(8)
+    for n in (8, 9, 64, 257, 4096):
+        yield f"smooth-closed-{n}", random_smooth_curve(rng, n)
+        yield f"rough-closed-{n}", cd.DiscreteCurve(rng.normal(size=(n, 2)), closed=True)
+        walk = np.cumsum(rng.normal(size=(n, 2)), axis=0)
+        yield f"rough-open-{n}", cd.DiscreteCurve(walk, closed=False)
+    yield "lemniscate-512", cd.sample_analytic(cd.Lemniscate(), 512)
+    clothoid = cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=-1.0, s_max=1.0)
+    yield "clothoid-1024", cd.sample_analytic(clothoid, 1024)
+
+
+@pytest.mark.parametrize("name, crv", list(_exactness_curves()))
+def test_fields_bit_equal_to_roll_formulas(name, crv):
+    got = cd.curve_fields(crv)
+    want = _roll_fields(crv)
+    for key, ref in want.items():
+        assert np.array_equal(getattr(got, key), ref), f"{name}: {key}"
+    assert cd.length(crv) == float(want["seg"].sum())
+
+    rng = np.random.default_rng(crv.n)
+    for values in (rng.normal(size=crv.n), rng.normal(size=(crv.n, 2))):
+        ref = _roll_d_ds(values, want["speed"], crv.closed)
+        assert np.array_equal(cd.arc_derivative(crv, values), ref), name
+
+    if crv.closed:
+        nu_s = _roll_d_ds(want["normal"], want["speed"], True)
+        a = float(np.sum(np.sum(nu_s * crv.nodes, axis=1) * want["dl"]))
+        assert cd.frame_position_identity(crv)[0] == a, name
+
+
+# ---------------------------------------------------------------------------
 # Resampling
 
 
