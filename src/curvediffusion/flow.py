@@ -34,6 +34,7 @@ snapshot is always a regular curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
@@ -133,19 +134,27 @@ def normal_velocity(fields: CurveFields, kind: str) -> np.ndarray:
     raise ValueError(f"unknown flow kind {kind!r}")
 
 
+@lru_cache(maxsize=8)
+def _closed_symbol(n: int) -> np.ndarray:
+    """Read-only rfft symbol (4 sin^2(pi k/N))^2, k = 0..N/2, of S^T S."""
+    sym = (4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2) ** 2
+    sym.flags.writeable = False
+    return sym
+
+
 def _imex_solve(rhs: np.ndarray, c: float, closed: bool) -> np.ndarray:
     """Solve (I + c S^T S) x = rhs for (N, 2) rhs, S the unit second difference.
 
     Closed: circulant with symbol 1 + c (2 - 2 cos(2 pi k/N))^2, evaluated as
-    1 + c (4 sin^2(pi k/N))^2 to avoid cancellation at low k. Open (N >= 4): in
-    upper-band storage, row 2 of ab is the diagonal [1, 5, 6, ..., 6, 5, 1] of
-    S^T S and rows 1, 0 its superdiagonals [-2, -4, ..., -4, -2] and ones.
+    1 + c (4 sin^2(pi k/N))^2 to avoid cancellation at low k, its c-free part
+    cached per N by _closed_symbol. Open (N >= 4): in upper-band storage, row
+    2 of ab is the diagonal [1, 5, 6, ..., 6, 5, 1] of S^T S and rows 1, 0
+    its superdiagonals [-2, -4, ..., -4, -2] and ones.
     """
     n = rhs.shape[0]
     if closed:
-        sym = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
-        return np.fft.irfft(np.fft.rfft(rhs, axis=0) / (1.0 + c * sym**2)[:, None],
-                            n=n, axis=0)
+        scale = 1.0 + c * _closed_symbol(n)
+        return np.fft.irfft(np.fft.rfft(rhs, axis=0) / scale[:, None], n=n, axis=0)
     ab = np.repeat([[c], [-4.0 * c], [1.0 + 6.0 * c]], n, axis=1)
     ab[1, [1, -1]] = -2.0 * c
     ab[2, [0, 1, -2, -1]] = 1.0 + c * np.array([1.0, 5.0, 5.0, 1.0])

@@ -2,7 +2,8 @@
 
 A curve is an ordered list of planar nodes with a closed/open flag and an
 implicit uniform parameter: node i sits at u_i = i * du. Closed curves
-never repeat the first node; wrap-around is handled by index arithmetic.
+never repeat the first node; their stencils are slices of one copy of a
+field padded with its last row in front and its first row behind.
 
 All derivatives are second-order finite differences in the parameter u,
 converted to arc-length derivatives with the chain rule (divide by the
@@ -19,6 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,48 +122,55 @@ class OsculatingDisc:
     radius: float
 
 
-def _d_du(f: np.ndarray, du: float, closed: bool) -> np.ndarray:
-    """First parameter derivative, second order (central; one-sided at open ends)."""
-    if closed:
-        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * du)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * du)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * du)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * du)
-    return out
+def _wrap(f: np.ndarray, closed: bool) -> np.ndarray:
+    """A per-node field as the stencils take it. A closed curve's gets its last
+    row prepended and its first row appended, so that f[2:], f[1:-1] and f[:-2]
+    are the next, own and previous rows of every node; an open curve's is f."""
+    return np.concatenate([f[-1:], f, f[:1]]) if closed else f
 
 
-def _d2_du2(f: np.ndarray, du: float, closed: bool) -> np.ndarray:
-    """Second parameter derivative, second order (central; one-sided at open ends)."""
+def _d_du(f: np.ndarray, closed: bool, second: bool = False):
+    """Second-order d/du of a field given as _wrap returns it, and with
+    second=True the pair (d/du, d2/du2). Stencils are central, one-sided at
+    the two end rows of an open curve; u spans 2 pi closed and 1 open."""
+    ahead, behind = f[2:], f[:-2]
+    d1 = ahead - behind
+    d2 = ahead - 2.0 * f[1:-1] + behind if second else None
     if closed:
-        return (np.roll(f, -1, axis=0) - 2.0 * f + np.roll(f, 1, axis=0)) / du**2
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / du**2
-    out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / du**2
-    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / du**2
-    return out
+        du = 2.0 * np.pi / d1.shape[0]
+    else:
+        du = 1.0 / (f.shape[0] - 1)
+        d1 = np.concatenate([[-3.0 * f[0] + 4.0 * f[1] - f[2]], d1,
+                             [3.0 * f[-1] - 4.0 * f[-2] + f[-3]]])
+        if second:
+            d2 = np.concatenate([[2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]], d2,
+                                 [2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]]])
+    d1 /= 2.0 * du
+    if not second:
+        return d1
+    d2 /= du**2
+    return d1, d2
 
 
 def _d_ds(values: np.ndarray, speed: np.ndarray, closed: bool) -> np.ndarray:
     """Arc-length derivative of a per-node scalar or vector field: the
     parameter stencil of _d_du divided by the local speed |gamma_u|."""
-    n = values.shape[0]
-    d = _d_du(values, 2.0 * np.pi / n if closed else 1.0 / (n - 1), closed)
+    d = _d_du(_wrap(values, closed), closed)
     return d / speed if d.ndim == 1 else d / speed[:, None]
 
 
 def segment_lengths(curve: DiscreteCurve) -> np.ndarray:
     """Chord lengths of consecutive segments (N for closed, N-1 for open)."""
-    if curve.closed:
-        diff = np.roll(curve.nodes, -1, axis=0) - curve.nodes
-    else:
-        diff = np.diff(curve.nodes, axis=0)
+    f = _wrap(curve.nodes, curve.closed)
+    diff = f[2:] - f[1:-1] if curve.closed else f[1:] - f[:-1]
     return np.hypot(diff[:, 0], diff[:, 1])
 
 
-def _require_regular(curve: DiscreteCurve) -> np.ndarray:
-    seg = segment_lengths(curve)
-    floor = REGULARITY_FACTOR * seg.mean()
+def _require_regular(seg: np.ndarray) -> np.ndarray:
+    """Return seg once every chord length is finite and above the regularity floor."""
+    floor = REGULARITY_FACTOR * (seg.sum() / seg.size)
+    if not math.isfinite(floor):
+        raise NonRegular(f"segment lengths are non-finite (their sum is {seg.sum()})")
     if seg.min() <= floor:
         raise NonRegular(
             f"minimum segment length {seg.min():.3e} is below the regularity "
@@ -172,7 +181,7 @@ def _require_regular(curve: DiscreteCurve) -> np.ndarray:
 
 def length(curve: DiscreteCurve) -> float:
     """Total polygonal length; closed curves include the wrap segment."""
-    return float(_require_regular(curve).sum())
+    return float(_require_regular(segment_lengths(curve)).sum())
 
 
 def signed_area(curve: DiscreteCurve) -> float:
@@ -193,7 +202,6 @@ def winding_number(curve: DiscreteCurve) -> int:
     """
     if not curve.closed:
         raise OpenCurve("winding_number requires a closed curve")
-    _require_regular(curve)
     diff = np.roll(curve.nodes, -1, axis=0) - curve.nodes
     headings = np.arctan2(diff[:, 1], diff[:, 0])
     turns = np.diff(headings, append=headings[:1])
@@ -201,6 +209,7 @@ def winding_number(curve: DiscreteCurve) -> int:
     total = float(turns.sum() / (2.0 * np.pi))
     if not np.isfinite(total):
         raise AmbiguousTurning("turning angles are not finite")
+    _require_regular(np.hypot(diff[:, 0], diff[:, 1]))
     nearest = round(total)
     if abs(total - nearest) > WINDING_WINDOW:
         raise AmbiguousTurning(
@@ -219,31 +228,31 @@ def curve_fields(curve: DiscreteCurve) -> CurveFields:
         If the curve has fewer than 8 nodes (the chained three-point
         stencils for kappa_ss need that much support).
     NonRegular
-        If any segment is degenerate.
+        If any segment is degenerate or a node is not finite.
     """
     if curve.n < MIN_NODES_FIELDS:
         raise TooFewNodes(
             f"curve_fields needs at least {MIN_NODES_FIELDS} nodes, got {curve.n}"
         )
-    seg = _require_regular(curve)
-    n = curve.n
-    du = 2.0 * np.pi / n if curve.closed else 1.0 / (n - 1)
+    closed = curve.closed
+    f = _wrap(curve.nodes, closed)
+    chord = f[2:] - f[1:-1] if closed else f[1:] - f[:-1]
+    seg = _require_regular(np.hypot(chord[:, 0], chord[:, 1]))
 
-    g_u = _d_du(curve.nodes, du, curve.closed)
-    g_uu = _d2_du2(curve.nodes, du, curve.closed)
+    g_u, g_uu = _d_du(f, closed, second=True)
     speed = np.hypot(g_u[:, 0], g_u[:, 1])
 
     tangent = g_u / speed[:, None]
     normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
     cross = g_u[:, 0] * g_uu[:, 1] - g_u[:, 1] * g_uu[:, 0]
     kappa = cross / speed**3
-    kappa_s = _d_ds(kappa, speed, curve.closed)
-    kappa_ss = _d_ds(kappa_s, speed, curve.closed)
+    kappa_s = _d_ds(kappa, speed, closed)
+    kappa_ss = _d_ds(kappa_s, speed, closed)
 
     # Trapezoidal weight: half of each adjacent segment; an open end has one.
-    padded = seg if curve.closed else np.append(seg, 0.0)
-    dl = 0.5 * (padded + np.roll(padded, 1))
-    s = np.concatenate([[0.0], np.cumsum(seg[: n - 1])])
+    padded = np.concatenate([seg[-1:], seg] if closed else [[0.0], seg, [0.0]])
+    dl = 0.5 * (padded[1:] + padded[:-1])
+    s = np.concatenate([[0.0], np.cumsum(seg[: curve.n - 1])])
 
     return CurveFields(tangent, normal, kappa, kappa_s, kappa_ss, dl, s, seg, speed)
 
@@ -271,7 +280,7 @@ def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     """
     if m < MIN_NODES_FIELDS:
         raise TooFewNodes(f"resample_uniform needs M >= {MIN_NODES_FIELDS}, got {m}")
-    seg = _require_regular(curve)
+    seg = _require_regular(segment_lengths(curve))
     knots = np.concatenate([[0.0], np.cumsum(seg)])
     total = knots[-1]
     if curve.closed:

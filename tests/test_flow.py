@@ -129,6 +129,23 @@ def test_imex_solve_matches_dense(n, closed, c):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def test_imex_solve_cached_symbol_is_exact_and_read_only():
+    # Alternating sizes must each find their own symbol, bit for bit the
+    # formula the cache replaced.
+    for n in (64, 65, 64):
+        rhs = RNG.standard_normal((n, 2))
+        sym = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+        for c in (0.5, 40.0, 1e6):
+            scale = (1.0 + c * sym**2)[:, None]
+            want = np.fft.irfft(np.fft.rfft(rhs, axis=0) / scale, n=n, axis=0)
+            assert np.array_equal(flow._imex_solve(rhs, c, True), want)
+    # A caller that wrote into the cached array would corrupt later solves.
+    cached = flow._closed_symbol(64)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0] = 1.0
+
+
 def _dense_imex_step(curve: cd.DiscreteCurve, dt: float) -> np.ndarray:
     """(I + dt D4) x_new = x + dt (v nu + D4 x), D4 = D2^T D2 at the mean spacing."""
     f = cd.curve_fields(curve)

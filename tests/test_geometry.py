@@ -41,6 +41,24 @@ def test_repeated_node_rejected():
         cd.curve_fields(cd.DiscreteCurve(nodes, closed=True))
 
 
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_node_is_non_regular(bad, closed):
+    # A NaN segment compares False against the regularity floor, so it must
+    # be caught as non-finite rather than slip through as NaN fields.
+    u = 2 * np.pi * np.arange(16) / 16
+    nodes = np.column_stack([np.cos(u), np.sin(u)])
+    nodes[5, 0] = bad
+    crv = cd.DiscreteCurve(nodes, closed=closed)
+    calls = [cd.length, cd.curve_fields]
+    for redistribute in (0, 10):
+        spec = cd.FlowSpec(t_end=1e-6, redistribute_every=redistribute)
+        calls.append(lambda c, spec=spec: cd.evolve(c, spec))
+    for call in calls:
+        with pytest.raises(cd.NonRegular, match="non-finite"):
+            call(crv)
+
+
 def test_fields_need_eight_nodes():
     u = 2 * np.pi * np.arange(7) / 7
     crv = cd.DiscreteCurve(np.column_stack([np.cos(u), np.sin(u)]), closed=True)
