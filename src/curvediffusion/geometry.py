@@ -123,9 +123,10 @@ class OsculatingDisc:
 
 
 def _wrap(f: np.ndarray, closed: bool) -> np.ndarray:
-    """A per-node field as the stencils take it. A closed curve's gets its last
-    row prepended and its first row appended, so that f[2:], f[1:-1] and f[:-2]
-    are the next, own and previous rows of every node; an open curve's is f."""
+    """A per-node field laid out for the stencils. On a closed curve its last
+    row is prepended and its first row appended, so that f[2:], f[1:-1] and
+    f[:-2] are the next, own and previous rows of every node; on an open
+    curve it is returned as it is."""
     return np.concatenate([f[-1:], f, f[:1]]) if closed else f
 
 
