@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import curvediffusion as cd
 from curvediffusion import analytic, cli, curve_io, flow
-from conftest import repeat_node_on_step
+from conftest import ellipse_curve, moved, repeat_node_on_step
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +211,42 @@ def test_curve_writers_match_reference(closed):
     assert curve_io.curve_to_csv(curve) == _reference_curve_csv(curve)
     with np.errstate(over="ignore", invalid="ignore"):  # the viewBox overflows
         assert curve_io.curve_to_svg(curve) == _reference_svg(curve)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_svg_matches_reference_on_non_finite_nodes(closed):
+    # Python prints a NaN without its sign, so the flipped y of a NaN node
+    # must read 'nan' whatever the sign bit, and -(±inf) must read ∓inf.
+    nan, inf = float("nan"), float("inf")
+    nodes = _edge_nodes()
+    nodes[12:20] = [[nan, 1.0], [2.0, nan], [-3.0, np.copysign(nan, -1.0)],
+                    [np.copysign(nan, -1.0), -0.0], [inf, -inf], [-inf, inf],
+                    [nan, inf], [-inf, nan]]
+    nodes[0] = [0.5, nan]
+    nodes[-1] = [nan, -inf]
+    curve = cd.DiscreteCurve(nodes, closed=closed)
+    with np.errstate(over="ignore", invalid="ignore"):  # the viewBox overflows
+        assert curve_io.curve_to_svg(curve) == _reference_svg(curve)
+    assert curve_io.curve_to_csv(curve) == _reference_curve_csv(curve)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_run_directory_snapshots_match_reference(closed, tmp_path):
+    if closed:
+        curve = moved(ellipse_curve(64), angle=0.3, shift=(-0.25, 0.5))
+    else:
+        spec = cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=-2.0, s_max=2.0)
+        curve = cd.sample_analytic(spec, 64)
+    traj = cd.evolve(curve, cd.FlowSpec(dt=1e-4, t_end=1e-3, snapshot_every=3))
+    assert len(traj.snapshots) >= 3
+    curve_io.write_run_directory(tmp_path, {"closed": closed}, traj, emit_svg=True)
+    snap_dir = tmp_path / "snapshots"
+    assert len(list(snap_dir.iterdir())) == 2 * len(traj.snapshots)
+    for i, snap in enumerate(traj.snapshots):
+        csv = (snap_dir / f"t_{i}.csv").read_bytes().decode("utf-8")
+        svg = (snap_dir / f"t_{i}.svg").read_bytes().decode("utf-8")
+        assert csv == _reference_curve_csv(snap), i
+        assert svg == _reference_svg(snap), i
 
 
 @pytest.mark.parametrize("closed", [True, False])
