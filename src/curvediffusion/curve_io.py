@@ -3,8 +3,11 @@
 All writers are deterministic: identical inputs produce byte-identical
 output. Floats are emitted with 17 significant digits (%.17g, round-trip
 exact for IEEE doubles): each format is one row template filled from a
-whole table at once. Every file is written through one UTF-8 writer whose
-newlines are always '\\n'.
+whole table at once. A curve's nodes are formatted once, as the rows of
+its CSV; the SVG path is derived from that row text by string
+replacement, and a run directory shares it between a snapshot's two
+files. Every file is written through one UTF-8 writer whose newlines are
+always '\\n'.
 
 Curve CSV contract: UTF-8, optional '#' comment lines, a mandatory
 leading comment `# closed=true` or `# closed=false`, a header line `x,y`,
@@ -24,18 +27,22 @@ from .geometry import DiscreteCurve
 from .monitor import MonitorSeries
 
 
-def _rows(template: str, table: np.ndarray) -> str:
-    """`template` filled from each row of a 2-D float table, in one % call."""
-    return (template * len(table)) % tuple(table.ravel().tolist())
+def _node_rows(curve: DiscreteCurve) -> str:
+    """One 'x,y' line per node, the body of the curve CSV, in one % call."""
+    return ("%.17g,%.17g\n" * curve.n) % tuple(curve.nodes.ravel().tolist())
 
 
 def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def curve_to_csv(curve: DiscreteCurve) -> str:
+def _csv_text(curve: DiscreteCurve, rows: str) -> str:
     flag = "true" if curve.closed else "false"
-    return f"# closed={flag}\nx,y\n" + _rows("%.17g,%.17g\n", curve.nodes)
+    return f"# closed={flag}\nx,y\n" + rows
+
+
+def curve_to_csv(curve: DiscreteCurve) -> str:
+    return _csv_text(curve, _node_rows(curve))
 
 
 def write_curve_csv(curve: DiscreteCurve, path) -> None:
@@ -104,10 +111,8 @@ def write_monitors_csv(series: MonitorSeries, path) -> None:
     _write_text(path, monitors_to_csv(series))
 
 
-def curve_to_svg(curve: DiscreteCurve) -> str:
-    """Single-path, stroke-only SVG with the viewBox fitted to the curve's
-    bounding box plus a 5% margin. The y axis is flipped so the plane's
-    orientation matches the usual mathematical convention."""
+def _svg_text(curve: DiscreteCurve, rows: str) -> str:
+    """The SVG document of a curve whose _node_rows are `rows`."""
     pts = np.column_stack([curve.nodes[:, 0], -curve.nodes[:, 1]])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -116,13 +121,23 @@ def curve_to_svg(curve: DiscreteCurve) -> str:
     x0, y0 = lo[0] - pad, lo[1] - pad
     w, h = hi[0] - lo[0] + 2.0 * pad, hi[1] - lo[1] + 2.0 * pad
 
-    path_data = (_rows("M %.17g %.17g", pts[:1]) + _rows(" L %.17g %.17g", pts[1:])
-                 + (" Z" if curve.closed else ""))
+    # %.17g prints the sign apart from the digits, so toggling the sign of
+    # each y in the row text writes -y; a NaN prints no sign either way.
+    moves = (rows.replace(",-", " ").replace(",", " -").replace(" -nan", " nan")
+             .replace("\n", " L "))
+    path_data = "M " + moves[:-3] + (" Z" if curve.closed else "")
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.17g %.17g %.17g %.17g">\n'
         '  <path d="%s" fill="none" stroke="black" stroke-width="%.17g"/>\n'
         "</svg>\n"
     ) % (x0, y0, w, h, path_data, 0.004 * max(w, h))
+
+
+def curve_to_svg(curve: DiscreteCurve) -> str:
+    """Single-path, stroke-only SVG with the viewBox fitted to the curve's
+    bounding box plus a 5% margin. The y axis is flipped so the plane's
+    orientation matches the usual mathematical convention."""
+    return _svg_text(curve, _node_rows(curve))
 
 
 def write_json(obj, path) -> None:
@@ -139,9 +154,10 @@ def write_run_directory(out_dir, config: dict, traj, scale_fit=None,
 
     write_json(config, out / "config.json")
     for i, curve in enumerate(traj.snapshots):
-        write_curve_csv(curve, snap_dir / f"t_{i}.csv")
+        rows = _node_rows(curve)
+        _write_text(snap_dir / f"t_{i}.csv", _csv_text(curve, rows))
         if emit_svg:
-            _write_text(snap_dir / f"t_{i}.svg", curve_to_svg(curve))
+            _write_text(snap_dir / f"t_{i}.svg", _svg_text(curve, rows))
     write_monitors_csv(traj.monitors, out / "monitors.csv")
 
     result = {

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -90,13 +91,16 @@ class CurveFields:
     tangent, normal : (N, 2) unit vectors, normal = tangent rotated +pi/2.
     kappa, kappa_s, kappa_ss : (N,) signed curvature and its arc-length
         derivatives (units 1/length, 1/length^2, 1/length^3).
-    dl : (N,) arc-length quadrature weights; dl.sum() equals the
-        polygonal length of the curve.
-    s : (N,) cumulative arc length from node 0 (chord-length based).
     seg : chord lengths of consecutive segments, as segment_lengths
         returns them (N closed, N-1 open); the length property is
         seg.sum(), bit-equal to length().
     speed : (N,) parameter speed |gamma_u| that turns d/du into d/ds.
+
+    Derived from seg on first read and then kept, since a flow step reads
+    neither:
+    dl : (N,) arc-length quadrature weights; dl.sum() equals the
+        polygonal length of the curve.
+    s : (N,) cumulative arc length from node 0 (chord-length based).
     """
 
     tangent: np.ndarray
@@ -104,14 +108,25 @@ class CurveFields:
     kappa: np.ndarray
     kappa_s: np.ndarray
     kappa_ss: np.ndarray
-    dl: np.ndarray
-    s: np.ndarray
     seg: np.ndarray
     speed: np.ndarray
 
     @property
     def length(self) -> float:
         return float(self.seg.sum())
+
+    @cached_property
+    def dl(self) -> np.ndarray:
+        # Trapezoidal weight: half of each adjacent segment; an open end has
+        # one. A closed curve has as many segments as nodes.
+        seg = self.seg
+        closed = seg.size == self.kappa.size
+        padded = np.concatenate([seg[-1:], seg] if closed else [[0.0], seg, [0.0]])
+        return 0.5 * (padded[1:] + padded[:-1])
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(self.seg[: self.kappa.size - 1])])
 
 
 @dataclass(frozen=True)
@@ -249,13 +264,7 @@ def curve_fields(curve: DiscreteCurve) -> CurveFields:
     kappa = cross / speed**3
     kappa_s = _d_ds(kappa, speed, closed)
     kappa_ss = _d_ds(kappa_s, speed, closed)
-
-    # Trapezoidal weight: half of each adjacent segment; an open end has one.
-    padded = np.concatenate([seg[-1:], seg] if closed else [[0.0], seg, [0.0]])
-    dl = 0.5 * (padded[1:] + padded[:-1])
-    s = np.concatenate([[0.0], np.cumsum(seg[: curve.n - 1])])
-
-    return CurveFields(tangent, normal, kappa, kappa_s, kappa_ss, dl, s, seg, speed)
+    return CurveFields(tangent, normal, kappa, kappa_s, kappa_ss, seg, speed)
 
 
 def arc_derivative(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:

@@ -327,6 +327,19 @@ def test_fields_bit_equal_to_roll_formulas(name, crv):
         assert cd.frame_position_identity(crv)[0] == a, name
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_fields_dl_and_s_are_computed_once_on_first_read(closed):
+    crv = cd.DiscreteCurve(ellipse_curve(64).nodes, closed=closed)
+    f = cd.curve_fields(crv)
+    assert "dl" not in vars(f) and "s" not in vars(f)
+    dl = f.dl
+    assert "dl" in vars(f) and "s" not in vars(f)
+    assert f.dl is dl and f.dl is f.dl
+    s = f.s
+    assert f.s is s and f.s is f.s
+    assert dl.shape == s.shape == (64,)
+
+
 # ---------------------------------------------------------------------------
 # Resampling
 
