@@ -65,8 +65,10 @@ def test_csv_layout(circle_512):
 
 def test_csv_tolerates_comments_and_blanks():
     text = "# a note\n\n# closed=false\nx,y\n0,0\n\n# mid comment\n1,0\n"
-    crv = curve_io.curve_from_csv(text)
-    assert crv.closed is False and crv.nodes.shape == (2, 2)
+    for newline in ("\n", "\r\n"):
+        crv = curve_io.curve_from_csv(text.replace("\n", newline))
+        assert crv.closed is False
+        assert crv.nodes.tolist() == [[0.0, 0.0], [1.0, 0.0]], repr(newline)
 
 
 @pytest.mark.parametrize(
@@ -80,11 +82,128 @@ def test_csv_tolerates_comments_and_blanks():
         "# closed=true\nx,y\n0,0\n",  # single node
         "# closed=true\nx,y\n0,0\nnan,1\n",
         "# closed=true\nx,y\n0,0\n1,inf\n",
+        "# closed=true\nx,y\n0,0\n1\n2,3,4\n",  # six cells, but not in pairs
+        "# closed=true\nx,y\n",  # header, no rows
+        "# closed=true\nx,y\n0,0\n1,2,\n",
+        "# closed=true\nx,y\n0,0\n,2\n",
     ],
 )
 def test_csv_malformed(text):
     with pytest.raises(ValueError):
         curve_io.curve_from_csv(text)
+
+
+# ---------------------------------------------------------------------------
+# Reader reference: the per-line parser the vectorized reader replaced
+
+
+def _reference_curve_from_csv(text: str) -> cd.DiscreteCurve:
+    closed = None
+    rows = []
+    saw_header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.lower().startswith("closed="):
+                value = body.split("=", 1)[1].strip().lower()
+                if value not in ("true", "false"):
+                    raise ValueError(
+                        f"line {lineno}: closed flag must be true or false, got {value!r}"
+                    )
+                closed = value == "true"
+            continue
+        if not saw_header:
+            if line.lower() != "x,y":
+                raise ValueError(f"line {lineno}: expected header 'x,y', got {line!r}")
+            saw_header = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected two comma-separated values")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: non-numeric coordinate") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"line {lineno}: non-finite coordinate")
+        rows.append((x, y))
+    if closed is None:
+        raise ValueError("missing mandatory '# closed=true|false' comment")
+    if not saw_header:
+        raise ValueError("missing 'x,y' header line")
+    if len(rows) < 2:
+        raise ValueError(f"need at least 2 nodes, got {len(rows)}")
+    return cd.DiscreteCurve(np.array(rows, dtype=float), closed)
+
+
+_PAD = st.sampled_from(["", " ", "\t", "   "])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_CELL = st.one_of(_FINITE.map(repr), _FINITE.map(lambda v: "%.17g" % v),
+                  _FINITE.map(lambda v: "%+.17e" % v), st.integers(-9, 9).map(str))
+_VALID_ROW = st.builds(lambda a, x, b, c, y, d: f"{a}{x}{b},{c}{y}{d}",
+                       _PAD, _CELL, _PAD, _PAD, _CELL, _PAD)
+# Lines that change nothing: blanks and comments that are not closed flags.
+_NOISE_LINE = st.sampled_from(["", "   ", "\t", "# a note", "#", "#closed", "# x,y"])
+# Lines that each make a document malformed wherever they stand: rows with
+# 0 or 2 commas, empty, non-numeric or non-finite cells, a bad closed flag.
+_FAULT_LINE = st.sampled_from([
+    "1", "1,2,3", ",", "1,,2", "1,2,", ",2", "1;2", "zz,1", "1,0x1", "x,y",
+    "nan,1", "1, inf", "-inf,-inf", "1,NaN", "# closed=maybe", "#closed=",
+])
+_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\u2028"])
+
+
+@st.composite
+def _csv_documents(draw):
+    """(text, faults): a curve CSV and an upper bound on its number of faults."""
+    flag = draw(st.sampled_from(["# closed=true", "# closed=false", " #Closed= TRUE ", None]))
+    header = draw(st.sampled_from(["x,y", " X,Y ", None]))
+    rows = draw(st.lists(_VALID_ROW, max_size=12))
+    late_flag = draw(st.sampled_from([None, None, "# closed=false", "#closed=true"]))
+    lines = [line for line in (flag, header, *rows, late_flag) if line is not None]
+    faults = ((flag is None and late_flag is None) + (header is None)
+              + (len(rows) < 2))
+    for line in draw(st.lists(_NOISE_LINE, max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    injected = draw(st.lists(_FAULT_LINE, max_size=2))
+    for line in injected:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    faults += len(injected)
+    if draw(st.integers(0, 9)) == 0:  # a wild line: the fault count is unknown
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=8)))
+        faults = None
+    text = "".join(line + draw(_BREAK) for line in lines)
+    return (text if draw(st.booleans()) else text.rstrip()), faults
+
+
+def _parse_outcome(reader, text):
+    try:
+        return reader(text), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_csv_documents())
+def test_csv_reader_matches_reference(doc):
+    # Both readers accept the same documents with bit-identical nodes, and
+    # reject the same ones; one fault gets the same message from both.
+    text, faults = doc
+    expected, expected_error = _parse_outcome(_reference_curve_from_csv, text)
+    got, error = _parse_outcome(curve_io.curve_from_csv, text)
+    if faults == 0:
+        assert expected is not None, expected_error
+    if expected is not None:
+        assert got is not None, error
+        assert got.closed is expected.closed
+        assert got.nodes.tobytes() == expected.nodes.tobytes()
+    else:
+        assert error is not None
+        if faults == 1:
+            assert error == expected_error
 
 
 # ---------------------------------------------------------------------------
