@@ -104,7 +104,7 @@ class _InputConfig:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        config = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
     run = analytic._from_json(_RunConfig, config, "config")

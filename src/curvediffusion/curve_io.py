@@ -11,14 +11,18 @@ always '\\n'.
 
 Curve CSV contract: UTF-8, optional '#' comment lines, a mandatory
 leading comment `# closed=true` or `# closed=false`, a header line `x,y`,
-then one node per line.
+then one node per line. The reader sorts the stripped lines in Python and
+converts every coordinate of the file with one map(float) pass; a file may
+start with a UTF-8 byte-order mark.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import asdict
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,50 +54,76 @@ def write_curve_csv(curve: DiscreteCurve, path) -> None:
 
 
 def curve_from_csv(text: str) -> DiscreteCurve:
-    """Parse the curve CSV contract; raises ValueError on malformed input."""
+    """Parse the curve CSV contract; raises ValueError on malformed input.
+
+    Python only sorts each stripped line into blank, comment, header or data
+    row; the rows are then checked for one comma each and all their cells
+    are converted by one map(float) pass. Line numbers are found only for
+    an error message.
+    """
+    lines = list(map(str.strip, text.splitlines()))
     closed: bool | None = None
-    rows: list[tuple[float, float]] = []
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    rows: list[str] = []
+    for line in lines:
         if not line:
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             body = line[1:].strip()
             if body.lower().startswith("closed="):
                 value = body.split("=", 1)[1].strip().lower()
                 if value not in ("true", "false"):
-                    raise ValueError(
-                        f"line {lineno}: closed flag must be true or false, got {value!r}"
-                    )
+                    raise ValueError(f"line {lines.index(line) + 1}: closed flag "
+                                     f"must be true or false, got {value!r}")
                 closed = value == "true"
-            continue
-        if not saw_header:
-            if line.lower() != "x,y":
-                raise ValueError(f"line {lineno}: expected header 'x,y', got {line!r}")
+        elif saw_header:
+            rows.append(line)
+        elif line.lower() == "x,y":
             saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two comma-separated values")
-        try:
-            x, y = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-numeric coordinate") from exc
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"line {lineno}: non-finite coordinate")
-        rows.append((x, y))
+        else:
+            raise ValueError(
+                f"line {lines.index(line) + 1}: expected header 'x,y', got {line!r}")
+    nodes = _parse_rows(lines, rows) if rows else np.empty((0, 2))
     if closed is None:
         raise ValueError("missing mandatory '# closed=true|false' comment")
     if not saw_header:
         raise ValueError("missing 'x,y' header line")
-    if len(rows) < 2:
-        raise ValueError(f"need at least 2 nodes, got {len(rows)}")
-    return DiscreteCurve(np.array(rows, dtype=float), closed)
+    if len(nodes) < 2:
+        raise ValueError(f"need at least 2 nodes, got {len(nodes)}")
+    return DiscreteCurve(nodes, closed)
+
+
+def _parse_rows(lines: list[str], rows: list[str]) -> np.ndarray:
+    """The nodes of the data `rows`, taken from the stripped `lines` of a file."""
+    # One comma per row, not just two cells per row on average: a total
+    # would re-pair the rows '0,0', '1', '2,3,4' into (0, 0), (1, 2), (3, 4).
+    if list(map(str.count, rows, repeat(","))).count(1) == len(rows):
+        cells = ",".join(rows).split(",")
+        with contextlib.suppress(ValueError):
+            nodes = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, 2)
+            if np.isfinite(nodes).all():
+                return nodes
+    # Some row is malformed: name the first one and its line.
+    for index, row in enumerate(rows):
+        if fault := _row_fault(row):
+            break
+    data_lines = [n for n, line in enumerate(lines, 1) if line and line[0] != "#"]
+    raise ValueError(f"line {data_lines[index + 1]}: {fault}")
+
+
+def _row_fault(row: str) -> str | None:
+    parts = row.split(",")
+    if len(parts) != 2:
+        return "expected two comma-separated values"
+    try:
+        x, y = float(parts[0]), float(parts[1])
+    except ValueError:
+        return "non-numeric coordinate"
+    return None if math.isfinite(x) and math.isfinite(y) else "non-finite coordinate"
 
 
 def read_curve_csv(path) -> DiscreteCurve:
-    return curve_from_csv(Path(path).read_text(encoding="utf-8"))
+    return curve_from_csv(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def monitors_to_csv(series: MonitorSeries) -> str:

@@ -1,6 +1,7 @@
 """File formats (curve CSV, monitors CSV, SVG) and the command line."""
 from __future__ import annotations
 
+import codecs
 import contextlib
 import dataclasses
 import io
@@ -480,6 +481,18 @@ def test_cli_check_malformed_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_check_accepts_byte_order_mark(tmp_path, capsys, fixture_dir):
+    # A CRLF file that starts with a UTF-8 BOM and has comments and blank
+    # lines between its rows gives the same report as the plain fixture.
+    plain = fixture_dir / "lemniscate_256.csv"
+    lines = plain.read_text(encoding="utf-8").splitlines()
+    lines[5:5] = ["", "# written elsewhere", "  "]
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + "\r\n".join(lines).encode("utf-8") + b"\r\n")
+    assert lines[0] == "# closed=true"
+    assert _run_check(path, capsys) == _run_check(plain, capsys)
+
+
 def test_cli_check_missing_file(tmp_path, capsys):
     assert cli.main(["check", str(tmp_path / "nope.csv")]) == 3
     capsys.readouterr()
@@ -580,6 +593,18 @@ def test_cli_evolve_deterministic(tmp_path):
         outputs.append(blobs)
     assert outputs[0] == outputs[1]
     assert any(b.startswith(b"<svg") for b in outputs[0])
+
+
+def test_cli_evolve_config_with_byte_order_mark(tmp_path):
+    config = {
+        "input": {"spec": {"kind": "circle", "radius": 1.0}, "nodes": 64},
+        "flow": {"t_end": 1e-4},
+        "out_dir": str(tmp_path / "run"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(codecs.BOM_UTF8 + json.dumps(config).encode("utf-8"))
+    assert cli.main(["evolve", str(cfg_path)]) == 0
+    assert json.loads((tmp_path / "run" / "config.json").read_text()) == config
 
 
 def test_cli_evolve_input_path_and_no_fit(tmp_path):
