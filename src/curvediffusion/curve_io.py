@@ -94,7 +94,8 @@ def curve_from_csv(text: str) -> DiscreteCurve:
 
 
 def _parse_rows(lines: list[str], rows: list[str]) -> np.ndarray:
-    """The nodes of the data `rows`, taken from the stripped `lines` of a file."""
+    """The (len(rows), 2) nodes of the data rows; the file's stripped `lines`
+    give a malformed row its line number."""
     # One comma per row, not just two cells per row on average: a total
     # would re-pair the rows '0,0', '1', '2,3,4' into (0, 0), (1, 2), (3, 4).
     if list(map(str.count, rows, repeat(","))).count(1) == len(rows):
@@ -112,6 +113,7 @@ def _parse_rows(lines: list[str], rows: list[str]) -> np.ndarray:
 
 
 def _row_fault(row: str) -> str | None:
+    """Why one data row is not a node, or None when it is one."""
     parts = row.split(",")
     if len(parts) != 2:
         return "expected two comma-separated values"

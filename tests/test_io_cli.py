@@ -486,10 +486,10 @@ def test_cli_check_accepts_byte_order_mark(tmp_path, capsys, fixture_dir):
     # lines between its rows gives the same report as the plain fixture.
     plain = fixture_dir / "lemniscate_256.csv"
     lines = plain.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "# closed=true"  # the BOM goes in front of the flag
     lines[5:5] = ["", "# written elsewhere", "  "]
     path = tmp_path / "bom.csv"
     path.write_bytes(codecs.BOM_UTF8 + "\r\n".join(lines).encode("utf-8") + b"\r\n")
-    assert lines[0] == "# closed=true"
     assert _run_check(path, capsys) == _run_check(plain, capsys)
 
 
