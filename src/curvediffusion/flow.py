@@ -37,11 +37,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
 
 from .errors import NonFinite, NonRegular, SolveFailure, TooFewSnapshots
-from .geometry import (CurveFields, DiscreteCurve, curve_fields, length, resample_uniform,
-                       segment_lengths)
+from .geometry import (CurveFields, DiscreteCurve, _solve_banded, curve_fields, length,
+                       resample_uniform, segment_lengths)
 from .monitor import MonitorSeries, _row, _series
 
 CURVE_DIFFUSION = "curve_diffusion"
@@ -159,7 +158,7 @@ def _imex_solve(rhs: np.ndarray, c: float, closed: bool) -> np.ndarray:
     ab[1, [1, -1]] = -2.0 * c
     ab[2, [0, 1, -2, -1]] = 1.0 + c * np.array([1.0, 5.0, 5.0, 1.0])
     # Non-finite input flows through to the NonFinite check in _advance().
-    return solveh_banded(ab, rhs, check_finite=False)
+    return _solve_banded(ab, rhs)
 
 
 def _auto_step(h: float, scheme: str) -> float:
@@ -199,7 +198,7 @@ def _advance(curve: DiscreteCurve, fields: CurveFields, dt: float,
         h = fields.length / fields.seg.size
         try:
             incr = _imex_solve(dt * v[:, None] * fields.normal, dt / h**4, curve.closed)
-        except (LinAlgError, ValueError) as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise SolveFailure(f"implicit solve failed: {exc}") from exc
         new_nodes = curve.nodes + incr
 

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.spatial.distance import directed_hausdorff
 
 from .errors import (
     AmbiguousTurning,
@@ -42,6 +40,8 @@ MIN_NODES_FIELDS = 8
 REGULARITY_FACTOR = 1e-14
 # Pre-rounding turning number must be this close to an integer.
 WINDING_WINDOW = 0.1
+# hausdorff_distance forms this many squared distances at a time (or one row).
+HAUSDORFF_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -281,12 +281,72 @@ def arc_derivative(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:
     return _d_ds(values, speed, curve.closed)
 
 
+def _solve_banded(ab: np.ndarray, rhs: np.ndarray, l_and_u=None) -> np.ndarray:
+    """Solve a banded system given in scipy.linalg's band storage: the upper
+    form of a symmetric positive definite matrix (banded Cholesky) when
+    l_and_u is None, else the general form with l_and_u = (lower, upper)
+    bands (banded LU). scipy.linalg is imported here, on the first solve,
+    so that a command that solves nothing never loads it."""
+    from scipy import linalg
+
+    if l_and_u is None:
+        return linalg.solveh_banded(ab, rhs, check_finite=False)
+    return linalg.solve_banded(l_and_u, ab, rhs, check_finite=False)
+
+
+def _spline_moments(h: np.ndarray, d: np.ndarray, closed: bool) -> np.ndarray:
+    """Second derivatives M, one row per knot, of the C2 cubic spline with
+    knot spacings h and chord slopes d (one row per segment): periodic when
+    closed, not-a-knot when open.
+
+    Row i of the system is h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i]
+    + h[i] M[i+1] = 6 (d[i] - d[i-1]). Closed, it is cyclic: a tridiagonal
+    B plus h[-1] e e^T, e = e_0 + e_{N-1}, and Sherman-Morrison solves it
+    from one Cholesky solve of B for the data and e together. Open, the
+    not-a-knot conditions (the third derivative is continuous across the
+    second and the second-to-last knot) eliminate the two end moments and
+    leave a tridiagonal system that is no longer symmetric.
+    """
+    if closed:
+        # The spacing and slope of the segment before each knot come first.
+        h_pad = np.concatenate([h[-1:], h])
+        diag = 2.0 * (h_pad[1:] + h_pad[:-1])
+        diag[0] -= h[-1]
+        diag[-1] -= h[-1]
+        rhs = np.zeros((h.size, 3))
+        rhs[:, :2] = 6.0 * np.diff(np.concatenate([d[-1:], d]), axis=0)
+        rhs[0, 2] = rhs[-1, 2] = 1.0
+        # Row 0 of the upper band storage starts with an unused entry.
+        sol = _solve_banded(np.stack([h_pad[:-1], diag]), rhs)
+        z = sol[:, 2]
+        m = sol[:, :2] - z[:, None] * (h[-1] * (sol[0, :2] + sol[-1, :2])
+                                       / (1.0 + h[-1] * (z[0] + z[-1])))
+        return np.concatenate([m, m[:1]])
+    r = 6.0 * np.diff(d, axis=0)
+    if h.size < 3:
+        # Through 2 nodes a line, through 3 a parabola: M is constant.
+        return np.broadcast_to(r.sum(axis=0) / (3.0 * h.sum()), (h.size + 1, 2))
+    h0, h1, a, b = h[0], h[1], h[-2], h[-1]
+    diag = 2.0 * (h[:-1] + h[1:])
+    diag[0] += h0 * (h0 + h1) / h1
+    diag[-1] += b * (a + b) / a
+    upper = np.concatenate([[0.0], h[1:-1]])
+    lower = np.concatenate([h[1:-1], [0.0]])
+    upper[1] = h1 - h0 * h0 / h1
+    lower[-2] = a - b * b / a
+    m = _solve_banded(np.stack([upper, diag, lower]), r, (1, 1))
+    first = ((h0 + h1) * m[0] - h0 * m[1]) / h1
+    last = ((a + b) * m[-1] - b * m[-2]) / a
+    return np.vstack([first, m, last])
+
+
 def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     """Redistribute to m nodes at equal arc-length spacing.
 
-    Coordinates are interpolated with a cubic spline against cumulative
-    chord length (periodic spline for closed curves), so the shape change
-    is O(1/N^2). Node 0 is kept as the arc-length origin.
+    Coordinates are interpolated with a C2 cubic spline against cumulative
+    chord length (periodic for closed curves, not-a-knot for open ones),
+    so the shape change is O(1/N^2). Node 0 is kept as the arc-length
+    origin.
     """
     if m < MIN_NODES_FIELDS:
         raise TooFewNodes(f"resample_uniform needs M >= {MIN_NODES_FIELDS}, got {m}")
@@ -295,12 +355,23 @@ def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     total = knots[-1]
     if curve.closed:
         pts = np.vstack([curve.nodes, curve.nodes[:1]])
-        spline = CubicSpline(knots, pts, bc_type="periodic")
         targets = total * np.arange(m) / m
     else:
-        spline = CubicSpline(knots, curve.nodes, bc_type="not-a-knot")
+        pts = curve.nodes
         targets = total * np.arange(m) / (m - 1)
-    return DiscreteCurve(spline(targets), curve.closed)
+    h = seg[:, None]
+    d = np.diff(pts, axis=0) / h
+    moments = _spline_moments(seg, d, curve.closed)
+    lo, hi = moments[:-1], moments[1:]
+    # Each segment's cubic in its local coordinate x, from its left knot.
+    c1 = d - h * (2.0 * lo + hi) / 6.0
+    c2 = 0.5 * lo
+    c3 = (hi - lo) / (6.0 * h)
+    i = np.clip(np.searchsorted(knots, targets, side="right") - 1, 0, seg.size - 1)
+    x = (targets - knots[i])[:, None]
+    y, a1, a2, a3 = (np.take(c, i, axis=0) for c in (pts, c1, c2, c3))
+    nodes = y + x * (a1 + x * (a2 + x * a3))
+    return DiscreteCurve(nodes, curve.closed)
 
 
 def osculating_disc(curve: DiscreteCurve, index: int) -> OsculatingDisc:
@@ -359,7 +430,26 @@ def normalize_shape(curve: DiscreteCurve) -> DiscreteCurve:
 
 
 def hausdorff_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
-    """Symmetric Hausdorff distance between the two node sets."""
-    d_ab = directed_hausdorff(a.nodes, b.nodes)[0]
-    d_ba = directed_hausdorff(b.nodes, a.nodes)[0]
-    return float(max(d_ab, d_ba))
+    """Symmetric Hausdorff distance between the two node sets: the farthest
+    any node of one set lies from its nearest node in the other.
+
+    Squared distances are formed for a block of a's nodes at a time, up to
+    HAUSDORFF_BLOCK of them (one row if b alone has more nodes), so memory
+    stays bounded for any N. Each block gives its nodes' nearest distance
+    to b and updates b's nearest distance to a. The square root is taken
+    once, of the exact maximum.
+    """
+    p, q = a.nodes, b.nodes
+    rows = max(1, HAUSDORFF_BLOCK // q.shape[0])
+    worst = 0.0
+    to_a = np.full(q.shape[0], np.inf)
+    for start in range(0, p.shape[0], rows):
+        block = p[start:start + rows]
+        sq = np.subtract.outer(block[:, 0], q[:, 0])
+        sq *= sq
+        dy = np.subtract.outer(block[:, 1], q[:, 1])
+        dy *= dy
+        sq += dy
+        worst = max(worst, float(sq.min(axis=1).max()))
+        np.minimum(to_a, sq.min(axis=0), out=to_a)
+    return math.sqrt(max(worst, float(to_a.max())))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
 
 import curvediffusion as cd
 from curvediffusion import flow
@@ -232,17 +231,17 @@ def test_step_commutes_with_reversal(scheme, closed, seed, c1, c2):
 
 
 def _failing_solver(*args, **kwargs):
-    raise LinAlgError("not positive definite")
+    raise np.linalg.LinAlgError("not positive definite")
 
 
 def test_banded_solve_failure_raises(clothoid_512, monkeypatch):
-    monkeypatch.setattr(flow, "solveh_banded", _failing_solver)
+    monkeypatch.setattr(flow, "_solve_banded", _failing_solver)
     with pytest.raises(cd.SolveFailure):
         cd.step(clothoid_512, 1e-6, cd.FlowSpec(dt=1e-6, t_end=1.0))
 
 
 def test_evolve_reports_solve_failure(clothoid_512, monkeypatch):
-    monkeypatch.setattr(flow, "solveh_banded", _failing_solver)
+    monkeypatch.setattr(flow, "_solve_banded", _failing_solver)
     traj = cd.evolve(clothoid_512, cd.FlowSpec(t_end=1e-4))
     assert traj.termination == flow.TERM_SOLVE_FAILURE
     assert traj.n_steps == 0

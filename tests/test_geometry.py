@@ -3,8 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
+from scipy.spatial.distance import directed_hausdorff
 
 import curvediffusion as cd
+from curvediffusion import geometry
 from conftest import ellipse_curve, moved, random_smooth_curve
 
 RNG = np.random.default_rng(20260814)
@@ -384,6 +389,69 @@ def test_resample_length_second_order():
     assert np.all((orders > 1.7) & (orders < 2.3))
 
 
+def _scipy_resample(curve: cd.DiscreteCurve, m: int) -> np.ndarray:
+    """resample_uniform written with scipy's CubicSpline, as the reference."""
+    knots = np.concatenate([[0.0], np.cumsum(cd.segment_lengths(curve))])
+    if curve.closed:
+        spline = CubicSpline(knots, np.vstack([curve.nodes, curve.nodes[:1]]),
+                             bc_type="periodic")
+        return spline(knots[-1] * np.arange(m) / m)
+    spline = CubicSpline(knots, curve.nodes, bc_type="not-a-knot")
+    return spline(knots[-1] * np.arange(m) / (m - 1))
+
+
+def _assert_matches_scipy(curve: cd.DiscreteCurve, m: int) -> None:
+    want = _scipy_resample(curve, m)
+    got = cd.resample_uniform(curve, m).nodes
+    # Relative to the coordinate scale: measured at most ~3e-15.
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def evolved_lemniscate() -> cd.DiscreteCurve:
+    # Without redistribution the flow leaves the nodes unevenly spaced.
+    crv = cd.sample_analytic(cd.Lemniscate(), 512)
+    traj = cd.evolve(crv, cd.FlowSpec(t_end=2e-3, redistribute_every=0))
+    return traj.snapshots[-1]
+
+
+@pytest.mark.parametrize("m", [8, 512, 1536])
+def test_resample_matches_scipy_periodic_spline(evolved_lemniscate, m):
+    seg = cd.segment_lengths(evolved_lemniscate)
+    assert seg.max() / seg.min() > 1.01
+    _assert_matches_scipy(evolved_lemniscate, m)
+
+
+@pytest.mark.parametrize("m", [8, 1024, 3072])
+def test_resample_matches_scipy_not_a_knot_spline(m):
+    spec = cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=-1.0, s_max=1.0)
+    _assert_matches_scipy(cd.sample_analytic(spec, 1024), m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 1024),
+    m=st.integers(8, 2048),
+    closed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resample_matches_scipy_on_nonuniform_chords(n, m, closed, seed):
+    rng = np.random.default_rng(seed)
+    # Parameter steps up to 5x apart give chords up to about 5x apart.
+    steps = rng.uniform(0.2, 1.0, n)
+    theta = np.cumsum(steps) * (2.0 * np.pi if closed else 4.0) / steps.sum()
+    r = 1.0 + 0.3 * np.sin(3.0 * theta + rng.uniform(0.0, 2.0 * np.pi))
+    nodes = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    _assert_matches_scipy(cd.DiscreteCurve(nodes + rng.uniform(-3.0, 3.0, 2), closed), m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("closed", [True, False])
+def test_resample_matches_scipy_on_few_nodes(n, closed):
+    nodes = np.column_stack([np.cos(np.arange(n) ** 1.3), np.sin(np.arange(n) ** 1.3)])
+    _assert_matches_scipy(cd.DiscreteCurve(nodes, closed), 9)
+
+
 def test_resample_too_few_targets():
     crv = cd.sample_analytic(cd.Circle(1.0), 64)
     with pytest.raises(cd.TooFewNodes):
@@ -435,3 +503,15 @@ def test_hausdorff_distance_concentric():
     b = cd.sample_analytic(cd.Circle(1.1), 512)
     assert cd.hausdorff_distance(a, b) == pytest.approx(0.1, abs=1e-3)
     assert cd.hausdorff_distance(a, a) == 0.0
+
+
+@pytest.mark.parametrize("block", [geometry.HAUSDORFF_BLOCK, 1000])
+@pytest.mark.parametrize("na, nb", [(2, 9), (300, 41), (4096, 3001), (1000, 4096)])
+def test_hausdorff_distance_is_scipy_exactly(monkeypatch, block, na, nb):
+    # block=1000 puts fewer rows than b has nodes in a block, down to one row.
+    monkeypatch.setattr(geometry, "HAUSDORFF_BLOCK", block)
+    a = cd.DiscreteCurve(RNG.normal(size=(na, 2)), closed=False)
+    b = cd.DiscreteCurve(RNG.normal(0.3, 1.7, size=(nb, 2)), closed=True)
+    want = max(directed_hausdorff(a.nodes, b.nodes)[0], directed_hausdorff(b.nodes, a.nodes)[0])
+    assert cd.hausdorff_distance(a, b) == want
+    assert cd.hausdorff_distance(b, a) == want

@@ -7,9 +7,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -926,3 +928,39 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["T_star"] == pytest.approx(
         1.6040597272944278e-4, rel=1e-12
     )
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import curvediffusion as cd
+from curvediffusion import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {"import curvediffusion": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen[" ".join(argv[:1])] = code if code else scipy_modules()
+# The probe sees a lazy import once a banded solve runs.
+cd.resample_uniform(cd.sample_analytic(cd.Circle(1.0), 16), 16)
+seen["resample_uniform"] = "scipy.linalg" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_commands_without_a_solve_load_no_scipy(tmp_path, fixture_dir):
+    argv = [["check", str(fixture_dir / "lemniscate_256.csv")],
+            ["generate", "--kind", "lemniscate", "--nodes", "64",
+             "--out", str(tmp_path / "lem.csv")],
+            ["bounds", "1.0"]]
+    src = str(Path(cd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import curvediffusion": [], "check": [],
+                                       "generate": [], "bounds": [],
+                                       "resample_uniform": True}
