@@ -936,13 +936,13 @@ import curvediffusion as cd
 from curvediffusion import cli
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
 
 seen = {"import curvediffusion": scipy_modules()}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    seen[" ".join(argv[:1])] = code if code else scipy_modules()
+    seen[argv[0]] = code if code else scipy_modules()
 # The probe sees a lazy import once a banded solve runs.
 cd.resample_uniform(cd.sample_analytic(cd.Circle(1.0), 16), 16)
 seen["resample_uniform"] = "scipy.linalg" in sys.modules
