@@ -85,11 +85,11 @@ def _elliptic_k_quadrature(m: float) -> float:
     return float(np.sum(panels))
 
 
-def elliptic_K(m: float, method: str = "auto") -> float:
+def elliptic_K(m: float, method: str = "agm") -> float:
     """Complete elliptic integral of the first kind, parameter form.
 
     K(m) = integral_0^{pi/2} (1 - m sin^2 theta)^(-1/2) dtheta for m < 1.
-    The default route ("auto", the same as "agm") is the AGM iteration
+    The default route, method="agm", is the AGM iteration
     K(m) = pi / (2 AGM(1, sqrt(1 - m))), which holds for every m < 1.
     method="quadrature" integrates the definition instead, with composite
     Gauss-Legendre panels graded toward the integrand's peak, as an
@@ -99,7 +99,7 @@ def elliptic_K(m: float, method: str = "auto") -> float:
         raise DomainError(f"elliptic_K requires m < 1, got {m}")
     if method == "quadrature":
         return _elliptic_k_quadrature(m)
-    if method not in ("auto", "agm"):
+    if method != "agm":
         raise ValueError(f"unknown method {method!r}")
     return _elliptic_k_agm(m)
 
@@ -169,7 +169,10 @@ def lemniscate_point(u, scale: float = 1.0) -> CurveJet:
 
 @dataclass(frozen=True)
 class Circle:
-    radius: float
+    """Circle of radius `radius` (1 unless given) about `center`, sampled
+    counterclockwise for orientation = 1."""
+
+    radius: float = 1.0
     center: tuple[float, float] = (0.0, 0.0)
     orientation: int = 1
 
@@ -194,12 +197,12 @@ class Lemniscate:
 class FresnelFamily:
     """Spiral with kappa(s) = 2 c2 s + c1, rotated by theta, shifted by v.
 
-    c2 = 0 with c1 != 0 gives a circular arc of curvature c1; c1 = c2 = 0
-    gives a straight line. Both are permitted.
+    c2 = 0 with c1 != 0 gives a circular arc of curvature c1; c1 = c2 = 0,
+    the default, gives a straight segment. Both are permitted.
     """
 
-    c1: float
-    c2: float
+    c1: float = 0.0
+    c2: float = 0.0
     theta: float = 0.0
     v: tuple[float, float] = (0.0, 0.0)
     s_min: float = 0.0

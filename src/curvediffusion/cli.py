@@ -1,7 +1,8 @@
 """Command-line interface: generate, evolve, check, bounds.
 
 An `evolve` config is read by analytic._from_json into _RunConfig, _InputConfig,
-an analytic spec and flow.FlowSpec, whose fields are its only schema.
+an analytic spec and flow.FlowSpec, whose fields are its only schema. The
+`generate` flags are the analytic spec fields, read by the same function.
 
 Exit codes: 0 success (check: a verdict exists), 1 check found no verdict,
 2 invalid input or configuration, 3 file I/O failure.
@@ -19,6 +20,26 @@ from . import analytic, curve_io, flow, monitor, soliton
 from .errors import CurveDiffusionError, TooFewSnapshots
 
 
+def _spec_flags() -> dict[str, dict]:
+    """add_argument keywords of the `generate` flag of each analytic spec field,
+    by field name: a float or a pair, no default (spec_from_dict supplies the
+    kind's defaults and refuses a field of another kind), the kinds as help."""
+    kinds: dict[str, list[str]] = {}
+    pairs = set()
+    for kind, cls in analytic._SPEC_KINDS.items():
+        for f in fields(cls):
+            kinds.setdefault(f.name, []).append(kind)
+            if f.type == "tuple[float, float]":
+                pairs.add(f.name)
+    return {name: {"dest": name, "type": float, "default": argparse.SUPPRESS,
+                   "help": ", ".join(kinds[name]),
+                   **({"nargs": 2, "metavar": ("X", "Y")} if name in pairs else {})}
+            for name in kinds}
+
+
+_SPEC_FLAGS = _spec_flags()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvediffusion",
@@ -31,22 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", required=True, choices=list(analytic._SPEC_KINDS))
     gen.add_argument("--nodes", type=int, default=256)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--orientation", type=int, choices=[1, -1], default=1)
-    gen.add_argument("--radius", type=float, default=1.0, help="circle radius")
-    gen.add_argument("--center", type=float, nargs=2, default=[0.0, 0.0],
-                     metavar=("X", "Y"))
-    gen.add_argument("--scale", type=float, default=1.0, help="lemniscate scale")
-    gen.add_argument("--c1", type=float, default=0.0, help="fresnel kappa intercept")
-    gen.add_argument("--c2", type=float, default=0.0, help="fresnel half slope")
-    gen.add_argument("--theta", type=float, default=0.0, help="fresnel rotation")
-    gen.add_argument("--v", type=float, nargs=2, default=[0.0, 0.0],
-                     metavar=("X", "Y"), help="fresnel translation")
-    gen.add_argument("--smin", dest="s_min", type=float, default=0.0)
-    gen.add_argument("--smax", dest="s_max", type=float, default=1.0)
-    gen.add_argument("--point", type=float, nargs=2, default=[0.0, 0.0],
-                     metavar=("X", "Y"), help="line base point")
-    gen.add_argument("--direction", type=float, nargs=2, default=[1.0, 0.0],
-                     metavar=("X", "Y"), help="line direction")
+    for name, options in _SPEC_FLAGS.items():
+        gen.add_argument("--" + name.replace("_", ""), **options)
 
     evo = sub.add_parser("evolve", help="run a flow described by a JSON config")
     evo.add_argument("config", help="path to the run configuration JSON")
@@ -65,10 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> analytic.AnalyticCurveSpec:
-    cls = analytic._SPEC_KINDS[args.kind]
-    return analytic.spec_from_dict(
-        {"kind": args.kind, **{f.name: getattr(args, f.name) for f in fields(cls)}}
-    )
+    given = {name: getattr(args, name) for name in _SPEC_FLAGS if hasattr(args, name)}
+    return analytic.spec_from_dict({"kind": args.kind, **given})
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -40,8 +40,6 @@ MIN_NODES_FIELDS = 8
 REGULARITY_FACTOR = 1e-14
 # Pre-rounding turning number must be this close to an integer.
 WINDING_WINDOW = 0.1
-# hausdorff_distance forms this many squared distances at a time (or one row).
-HAUSDORFF_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -433,23 +431,8 @@ def hausdorff_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
     """Symmetric Hausdorff distance between the two node sets: the farthest
     any node of one set lies from its nearest node in the other.
 
-    Squared distances are formed for a block of a's nodes at a time, up to
-    HAUSDORFF_BLOCK of them (one row if b alone has more nodes), so memory
-    stays bounded for any N. Each block gives its nodes' nearest distance
-    to b and updates b's nearest distance to a. The square root is taken
-    once, of the exact maximum.
-    """
-    p, q = a.nodes, b.nodes
-    rows = max(1, HAUSDORFF_BLOCK // q.shape[0])
-    worst = 0.0
-    to_a = np.full(q.shape[0], np.inf)
-    for start in range(0, p.shape[0], rows):
-        block = p[start:start + rows]
-        sq = np.subtract.outer(block[:, 0], q[:, 0])
-        sq *= sq
-        dy = np.subtract.outer(block[:, 1], q[:, 1])
-        dy *= dy
-        sq += dy
-        worst = max(worst, float(sq.min(axis=1).max()))
-        np.minimum(to_a, sq.min(axis=0), out=to_a)
-    return math.sqrt(max(worst, float(to_a.max())))
+    scipy.spatial is imported here, on the first call, so that importing the
+    package never loads it."""
+    from scipy.spatial.distance import directed_hausdorff
+
+    return max(directed_hausdorff(a.nodes, b.nodes)[0], directed_hausdorff(b.nodes, a.nodes)[0])

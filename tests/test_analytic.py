@@ -33,7 +33,7 @@ def test_elliptic_k_dual_route():
 
 def test_elliptic_k_matches_scipy():
     for m in [-1e8, -1e6, -100.0, *np.linspace(-5.0, 0.95, 25)]:
-        for method in ("auto", "quadrature"):
+        for method in ("agm", "quadrature"):
             assert cd.elliptic_K(m, method=method) == pytest.approx(sps.ellipk(m), abs=1e-12)
 
 
@@ -69,6 +69,8 @@ def test_elliptic_k_domain(m):
 def test_elliptic_k_bad_method():
     with pytest.raises(ValueError):
         cd.elliptic_K(0.5, method="series")
+    with pytest.raises(ValueError):
+        cd.elliptic_K(0.5, method="auto")  # the default is spelled "agm" only
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +314,23 @@ def test_spec_dict_round_trip(spec):
 )
 def test_spec_to_dict_exact_json(spec, text):
     assert json.dumps(cd.spec_to_dict(spec)) == text
+
+
+@pytest.mark.parametrize(
+    "kind, spec",
+    [
+        ("circle", cd.Circle(radius=1.0, center=(0.0, 0.0), orientation=1)),
+        ("lemniscate", cd.Lemniscate(scale=1.0, orientation=1)),
+        ("fresnel", cd.FresnelFamily(c1=0.0, c2=0.0, theta=0.0, v=(0.0, 0.0), s_min=0.0,
+                                     s_max=1.0, orientation=1)),
+        ("line", cd.Line(point=(0.0, 0.0), direction=(1.0, 0.0), s_min=0.0, s_max=1.0,
+                         orientation=1)),
+    ],
+)
+def test_spec_from_dict_defaults(kind, spec):
+    # A spec given by its kind alone is the class with every field defaulted,
+    # and those defaults are the values written out here.
+    assert cd.spec_from_dict({"kind": kind}) == type(spec)() == spec
 
 
 def test_spec_from_dict_rejects_unknown_kind():

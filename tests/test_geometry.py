@@ -9,7 +9,6 @@ from scipy.interpolate import CubicSpline
 from scipy.spatial.distance import directed_hausdorff
 
 import curvediffusion as cd
-from curvediffusion import geometry
 from conftest import ellipse_curve, moved, random_smooth_curve
 
 RNG = np.random.default_rng(20260814)
@@ -505,11 +504,8 @@ def test_hausdorff_distance_concentric():
     assert cd.hausdorff_distance(a, a) == 0.0
 
 
-@pytest.mark.parametrize("block", [geometry.HAUSDORFF_BLOCK, 1000])
 @pytest.mark.parametrize("na, nb", [(2, 9), (300, 41), (4096, 3001), (1000, 4096)])
-def test_hausdorff_distance_is_scipy_exactly(monkeypatch, block, na, nb):
-    # block=1000 puts fewer rows than b has nodes in a block, down to one row.
-    monkeypatch.setattr(geometry, "HAUSDORFF_BLOCK", block)
+def test_hausdorff_distance_is_scipy_exactly(na, nb):
     a = cd.DiscreteCurve(RNG.normal(size=(na, 2)), closed=False)
     b = cd.DiscreteCurve(RNG.normal(0.3, 1.7, size=(nb, 2)), closed=True)
     want = max(directed_hausdorff(a.nodes, b.nodes)[0], directed_hausdorff(b.nodes, a.nodes)[0])

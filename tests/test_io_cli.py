@@ -1,6 +1,7 @@
 """File formats (curve CSV, monitors CSV, SVG) and the command line."""
 from __future__ import annotations
 
+import argparse
 import codecs
 import contextlib
 import dataclasses
@@ -435,6 +436,70 @@ def test_cli_generate_missing_directory(tmp_path):
     assert rc == 3
 
 
+# Every field of every analytic spec, by name; the generate flags are built from these.
+_SPEC_FIELDS = {f.name: f for cls in analytic._SPEC_KINDS.values()
+                for f in dataclasses.fields(cls)}
+
+
+def test_cli_generate_flags_are_the_spec_fields(capsys):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices["generate"]._actions
+               if a.dest not in ("help", "kind", "nodes", "out")}
+    assert {name: a.option_strings for name, a in actions.items()} == {
+        name: ["--" + name.replace("_", "")] for name in _SPEC_FIELDS}
+    # The flag names generate has always had.
+    assert sorted(a.option_strings[0] for a in actions.values()) == sorted(
+        ["--radius", "--center", "--orientation", "--scale", "--c1", "--c2", "--theta",
+         "--v", "--smin", "--smax", "--point", "--direction"])
+    for name, action in actions.items():
+        assert action.help == ", ".join(
+            kind for kind, cls in analytic._SPEC_KINDS.items()
+            if name in {f.name for f in dataclasses.fields(cls)})
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["generate", "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    for action in actions.values():
+        assert action.option_strings[0] in text
+
+
+@pytest.mark.parametrize("kind", list(analytic._SPEC_KINDS))
+def test_cli_generate_rejects_flags_of_other_kinds(tmp_path, kind):
+    own = {f.name for f in dataclasses.fields(analytic._SPEC_KINDS[kind])}
+    out = tmp_path / "c.csv"
+    foreign = [f for name, f in _SPEC_FIELDS.items() if name not in own]
+    assert foreign
+    for field in foreign:
+        values = ["1", "2"] if field.type == "tuple[float, float]" else ["5"]
+        code, err = _run_cli(["generate", "--kind", kind,
+                              "--" + field.name.replace("_", ""), *values, "--out", str(out)])
+        assert code == 2
+        assert err.startswith("error: ") and f"no field {field.name!r}" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0.5", "0", "2"])
+def test_cli_generate_orientation_is_a_sign(tmp_path, value):
+    out = tmp_path / "c.csv"
+    code, err = _run_cli(["generate", "--kind", "lemniscate", "--orientation", value,
+                          "--out", str(out)])
+    assert code == 2
+    assert "orientation" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", list(analytic._SPEC_KINDS))
+def test_cli_generate_defaults_are_the_spec_defaults(tmp_path, kind):
+    # Omitted flags take the dataclass defaults: the bare circle has radius 1,
+    # the bare fresnel spec c1 = c2 = 0 (a straight segment).
+    assert cli.main(["generate", "--kind", kind, "--nodes", "64",
+                     "--out", str(tmp_path / "cli.csv")]) == 0
+    spec = analytic._SPEC_KINDS[kind]()
+    curve_io.write_curve_csv(cd.sample_analytic(spec, 64), tmp_path / "lib.csv")
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # CLI: check
 
@@ -510,11 +575,15 @@ GENERATE_CASES = [
     # O(1) by construction.
     (["--kind", "line", "--point", "0.3", "-1", "--direction", "1", "0",
       "--smax", "3"], "stationary"),
+    # Every field defaulted: the unit circle and, for fresnel, a straight segment.
+    (["--kind", "circle"], "stationary"),
+    (["--kind", "fresnel"], "stationary"),
 ]
 
 
 @pytest.mark.parametrize("args,expected", GENERATE_CASES,
-                         ids=["circle", "lemniscate", "fresnel", "line"])
+                         ids=["circle", "lemniscate", "fresnel", "line", "circle_defaults",
+                              "fresnel_defaults"])
 def test_cli_generate_check_roundtrip(tmp_path, capsys, args, expected):
     path = tmp_path / "curve.csv"
     assert cli.main(["generate", *args, "--nodes", "512",
@@ -719,12 +788,14 @@ _HUGE_INT = 10**400  # 401 digits: a valid JSON number too large for a double
         (_config_argv(lambda c: c["flow"].update(length_min=math.nan)), "length_min"),
         (lambda tmp_path: ["generate", "--kind", "circle", "--radius", "nan",
                            "--out", str(tmp_path / "circle.csv")], "radius"),
+        (lambda tmp_path: ["generate", "--kind", "circle", "--orientation", "inf",
+                           "--out", str(tmp_path / "circle.csv")], "orientation"),
         (lambda tmp_path: ["bounds", "nan"], "L0"),
         (lambda tmp_path: ["bounds", "inf"], "L0"),
     ],
     ids=["snapshot_every_inf", "redistribute_every_inf", "nodes_inf", "t_end_huge_int",
          "radius_huge_int", "center_minus_inf", "length_min_nan", "generate_radius_nan",
-         "bounds_nan", "bounds_inf"],
+         "generate_orientation_inf", "bounds_nan", "bounds_inf"],
 )
 def test_cli_rejects_non_finite_numbers(tmp_path, argv, named):
     code, err = _run_cli(argv(tmp_path))
