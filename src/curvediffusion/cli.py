@@ -11,6 +11,7 @@ Exit codes: 0 success (check: a verdict exists), 1 check found no verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -40,7 +41,10 @@ def _spec_flags() -> dict[str, dict]:
 _SPEC_FLAGS = _spec_flags()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser every main() call shares, built by the first one: parse_args
+    makes a fresh Namespace per call and never mutates the parser."""
     parser = argparse.ArgumentParser(
         prog="curvediffusion",
         description="Simulate curve diffusion flow of plane curves, generate "

@@ -192,8 +192,10 @@ def write_run_directory(out_dir, config: dict, traj, scale_fit=None,
             _write_text(snap_dir / f"t_{i}.svg", _svg_text(curve, rows))
     write_monitors_csv(traj.monitors, out / "monitors.csv")
 
-    result = {
-        "termination": traj.termination,
+    result = {"termination": traj.termination}
+    if traj.termination_detail is not None:
+        result["termination_detail"] = traj.termination_detail
+    result |= {
         "t_final": float(traj.times[-1]),
         "n_steps": int(traj.n_steps),
         "n_snapshots": len(traj.snapshots),

@@ -108,13 +108,19 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped sequence of curves with monitors and a stop reason."""
+    """Time-stamped sequence of curves with monitors and a stop reason.
+
+    termination_detail is set on a failure stop (non_finite, solve_failure,
+    non_regular) only: the error's message with the step count and t of the
+    last kept state, which are n_steps and times[-1].
+    """
 
     times: np.ndarray
     snapshots: list
     monitors: MonitorSeries
     termination: str
     n_steps: int
+    termination_detail: str | None = None
 
 
 @dataclass(frozen=True)
@@ -241,6 +247,7 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
     t = 0.0
     steps = 0
     termination = TERM_TIME_REACHED
+    detail = None
     horizon = spec.t_end * (1.0 - 1e-12)
 
     def record() -> None:
@@ -274,6 +281,7 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
                     dt = _auto_step(fields.length / fields.seg.size, spec.scheme)
         except tuple(_FAILURE_TERMS) as exc:
             termination = _FAILURE_TERMS[type(exc)]
+            detail = f"{exc} (last kept state: step {steps}, t = {float(t)!r})"
             break
         if steps % spec.snapshot_every == 0:
             record()
@@ -285,6 +293,7 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
         monitors=_series(times, rows),
         termination=termination,
         n_steps=steps,
+        termination_detail=detail,
     )
 
 

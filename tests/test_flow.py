@@ -1,6 +1,8 @@
 """Time stepping: schemes, stability envelope, stops, and scale fits."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,8 @@ def test_evolve_reports_solve_failure(clothoid_512, monkeypatch):
     traj = cd.evolve(clothoid_512, cd.FlowSpec(t_end=1e-4))
     assert traj.termination == flow.TERM_SOLVE_FAILURE
     assert traj.n_steps == 0
+    assert traj.termination_detail == (
+        "implicit solve failed: not positive definite (last kept state: step 0, t = 0.0)")
 
 
 def test_evolve_reports_non_finite(lemniscate_512, monkeypatch):
@@ -254,6 +258,8 @@ def test_evolve_reports_non_finite(lemniscate_512, monkeypatch):
     traj = cd.evolve(lemniscate_512, spec)
     assert traj.termination == flow.TERM_NON_FINITE
     assert traj.n_steps == 0
+    assert traj.termination_detail == (
+        "non-finite coordinates after a time step (last kept state: step 0, t = 0.0)")
 
 
 def test_evolve_reports_non_regular(lemniscate_512, monkeypatch):
@@ -264,6 +270,11 @@ def test_evolve_reports_non_regular(lemniscate_512, monkeypatch):
     assert traj.termination == flow.TERM_NON_REGULAR
     assert traj.n_steps == 2
     assert len(traj.snapshots) == len(traj.times) == 3
+    # The detail names the last kept state: n_steps and the last snapshot time.
+    assert re.fullmatch(
+        r"minimum segment length 0\.000e\+00 is below the regularity threshold \S+ "
+        r"\(last kept state: step 2, t = \S+\)", traj.termination_detail)
+    assert traj.termination_detail.endswith(f"t = {float(traj.times[-1])!r})")
     for snap in traj.snapshots:
         cd.curve_fields(snap)
 
@@ -360,6 +371,7 @@ def test_evolve_min_spacing_stop(lemniscate_512):
     h = cd.length(lemniscate_512) / 512
     traj = cd.evolve(lemniscate_512, cd.FlowSpec(t_end=10.0, min_spacing=2 * h))
     assert traj.termination == flow.TERM_MIN_SPACING_BELOW
+    assert traj.termination_detail is None
 
 
 def test_elastic_ellipse_dissipates_bending_energy():
@@ -441,6 +453,7 @@ def test_evolve_monitors_equal_monitor_curves(curve, spec, termination):
     traj = cd.evolve(curve, spec)
     assert traj.termination == termination
     assert traj.n_steps > 2 * spec.redistribute_every
+    assert traj.termination_detail is None  # set on failure stops only
     assert _series_bytes(traj.monitors) == _series_bytes(
         cd.monitor_curves(traj.times, traj.snapshots))
 

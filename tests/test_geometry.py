@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
-from scipy.spatial.distance import directed_hausdorff
 
 import curvediffusion as cd
 from conftest import ellipse_curve, moved, random_smooth_curve
@@ -502,12 +501,11 @@ def test_hausdorff_distance_concentric():
     b = cd.sample_analytic(cd.Circle(1.1), 512)
     assert cd.hausdorff_distance(a, b) == pytest.approx(0.1, abs=1e-3)
     assert cd.hausdorff_distance(a, a) == 0.0
-
-
-@pytest.mark.parametrize("na, nb", [(2, 9), (300, 41), (4096, 3001), (1000, 4096)])
-def test_hausdorff_distance_is_scipy_exactly(na, nb):
-    a = cd.DiscreteCurve(RNG.normal(size=(na, 2)), closed=False)
-    b = cd.DiscreteCurve(RNG.normal(0.3, 1.7, size=(nb, 2)), closed=True)
-    want = max(directed_hausdorff(a.nodes, b.nodes)[0], directed_hausdorff(b.nodes, a.nodes)[0])
-    assert cd.hausdorff_distance(a, b) == want
-    assert cd.hausdorff_distance(b, a) == want
+    # Directed distances that differ: sqrt(10) from the segment's end (3, 0)
+    # to (0, 1), and 4 from (3, 4) down to (3, 0). The distance is the larger,
+    # in either argument order.
+    seg = cd.DiscreteCurve(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
+                           closed=False)
+    pair = cd.DiscreteCurve(np.array([[0.0, 1.0], [3.0, 4.0]]), closed=False)
+    assert cd.hausdorff_distance(seg, pair) == 4.0
+    assert cd.hausdorff_distance(pair, seg) == 4.0

@@ -617,6 +617,7 @@ def test_cli_evolve_run_directory(tmp_path, capsys):
     assert json.loads((run / "config.json").read_text())["flow"] == config["flow"]
     result = json.loads((run / "result.json").read_text())
     assert result["termination"] == "time_reached"
+    assert "termination_detail" not in result
     assert result["t_final"] == pytest.approx(1.0 / 48.0)
     # Shrinking figure eight: the fitted scale profile recovers K near -6.
     assert -6.1 < result["K"] < -5.9
@@ -642,6 +643,10 @@ def test_cli_evolve_non_regular_is_recorded(tmp_path, monkeypatch):
     result = json.loads((tmp_path / "run" / "result.json").read_text())
     assert result["termination"] == "non_regular"
     assert result["n_steps"] == 2
+    assert list(result)[:2] == ["termination", "termination_detail"]
+    assert result["termination_detail"].startswith("minimum segment length 0.000e+00 is below")
+    assert result["termination_detail"].endswith(
+        f"(last kept state: step 2, t = {result['t_final']!r})")
 
 
 def test_cli_evolve_deterministic(tmp_path):
@@ -988,6 +993,129 @@ def test_cli_rejects_out_of_range_values(tmp_path, fixture_dir, monkeypatch, arg
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# CLI: one parser per process
+#
+# main() parses every call with the parser the first call built. That is safe
+# because parse_args fills a fresh Namespace per call and never mutates the
+# parser; these tests pin it.
+
+
+_ARGV_TOKEN = st.one_of(
+    st.sampled_from([
+        "generate", "evolve", "check", "bounds", "--kind", "--nodes", "--out",
+        *("--" + name.replace("_", "") for name in _SPEC_FIELDS), *analytic._SPEC_KINDS,
+        "--tol", "--json", "--help", "-h", "--", "-", "nan", "-nan", "inf", "1e100",
+        "--no-such-flag", "--c", "--s",
+    ]),
+    st.floats().map(repr),
+    st.integers(-300, 300).map(str),
+    st.text(max_size=6),
+)
+_ARGV = st.one_of(
+    st.builds(lambda command, rest: [command, *rest],
+              st.sampled_from(["generate", "evolve", "check", "bounds"]),
+              st.lists(_ARGV_TOKEN, max_size=8)),
+    st.lists(_ARGV_TOKEN, max_size=8),
+)
+
+
+def _argv_outcome(parser, argv):
+    """repr of the parsed Namespace (NaN != NaN, so no ==), or the exit code
+    with everything printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(parser.parse_args(argv))
+        except SystemExit as stop:
+            return stop.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(earlier=_ARGV, argv=_ARGV)
+def test_cli_shared_parser_parses_like_a_fresh_one(earlier, argv):
+    shared = cli._build_parser()
+    assert shared is cli._build_parser()
+    _argv_outcome(shared, earlier)
+    assert _argv_outcome(shared, argv) == _argv_outcome(cli._build_parser.__wrapped__(), argv)
+
+
+def test_cli_check_tolerance_does_not_carry_over(tmp_path, capsys):
+    # The N=128 lemniscate's shrinker residual (0.0123) lies between the
+    # default tolerance 0.01 and 0.05.
+    path = tmp_path / "lem128.csv"
+    assert cli.main(["generate", "--kind", "lemniscate", "--nodes", "128",
+                     "--out", str(path)]) == 0
+    rc, report = _run_check(path, capsys, "--tol", "0.05")
+    assert (rc, report["verdict"]) == (0, "shrinker")
+    assert 0.01 < report["shrinker"]["residual"] < 0.05
+    rc, report = _run_check(path, capsys)
+    assert (rc, report["verdict"]) == (1, "none")
+
+
+def test_cli_generate_spec_flags_do_not_carry_over(tmp_path):
+    # The spec flags default to SUPPRESS; a flag given once must not reach the next call.
+    argv = ["generate", "--kind", "circle", "--nodes", "64", "--out"]
+    assert cli.main([*argv, str(tmp_path / "r2.csv"), "--radius", "2"]) == 0
+    assert cli.main([*argv, str(tmp_path / "r1.csv")]) == 0
+    curve_io.write_curve_csv(cd.sample_analytic(cd.Circle(1.0), 64), tmp_path / "lib.csv")
+    assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    assert (tmp_path / "r2.csv").read_bytes() != (tmp_path / "r1.csv").read_bytes()
+
+
+def test_cli_check_json_path_does_not_carry_over(tmp_path, capsys, fixture_dir):
+    out = tmp_path / "out.json"
+    rc, report = _run_check(fixture_dir / "circle_256.csv", capsys, "--json", str(out))
+    assert (rc, report["verdict"]) == (0, "stationary")
+    written = out.read_bytes()
+    rc, report = _run_check(fixture_dir / "lemniscate_256.csv", capsys)
+    assert (rc, report["verdict"]) == (0, "shrinker")
+    assert out.read_bytes() == written
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check"], 2),
+    (["check", "circle_256.csv", "--tol"], 2),
+    (["bounds", "1.0", "--tol", "0.1"], 2),
+    (["check", "--help"], 0),
+    (["--help"], 0),
+])
+def test_cli_main_runs_after_usage_error_or_help(capsys, fixture_dir, monkeypatch, argv, code):
+    monkeypatch.chdir(fixture_dir)
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == code
+    capsys.readouterr()
+    rc, report = _run_check("clothoid_256.csv", capsys)
+    assert (rc, report["verdict"]) == (0, "stationary")
+
+
+def test_cli_builds_one_parser_per_process(tmp_path, capsys, fixture_dir, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli._build_parser.cache_clear()  # as in a new process
+    try:
+        for i in range(20):
+            argv = (["check", str(fixture_dir / "circle_256.csv")],
+                    ["bounds", "1.0"],
+                    ["generate", "--kind", "line", "--out", str(tmp_path / f"{i}.csv")])[i % 3]
+            assert cli.main(argv) == 0
+        misses = cli._build_parser.cache_info().misses
+    finally:
+        cli._build_parser.cache_clear()
+    capsys.readouterr()
+    # One tree: the root parser and one per subcommand, built by the first call.
+    assert misses == 1
+    assert built == ["curvediffusion"] + [f"curvediffusion {name}" for name in cli._HANDLERS]
 
 
 def test_module_entry_point():
