@@ -1,8 +1,6 @@
 """Time stepping: schemes, stability envelope, stops, and scale fits."""
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,10 +269,10 @@ def test_evolve_reports_non_regular(lemniscate_512, monkeypatch):
     assert traj.n_steps == 2
     assert len(traj.snapshots) == len(traj.times) == 3
     # The detail names the last kept state: n_steps and the last snapshot time.
-    assert re.fullmatch(
-        r"minimum segment length 0\.000e\+00 is below the regularity threshold \S+ "
-        r"\(last kept state: step 2, t = \S+\)", traj.termination_detail)
-    assert traj.termination_detail.endswith(f"t = {float(traj.times[-1])!r})")
+    assert traj.termination_detail.startswith(
+        "minimum segment length 0.000e+00 is below the regularity threshold ")
+    assert traj.termination_detail.endswith(
+        f" (last kept state: step 2, t = {float(traj.times[-1])!r})")
     for snap in traj.snapshots:
         cd.curve_fields(snap)
 
