@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import analytic, curve_io, flow, monitor, soliton
-from .errors import CurveDiffusionError, TooFewSnapshots
+from .errors import CurveDiffusionError, DomainError, TooFewSnapshots
 
 
 def _spec_flags() -> dict[str, dict]:
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--nodes", type=int, default=256)
     gen.add_argument("--out", required=True)
     for name, options in _SPEC_FLAGS.items():
-        gen.add_argument("--" + name.replace("_", ""), **options)
+        gen.add_argument(_flag(name), **options)
 
     evo = sub.add_parser("evolve", help="run a flow described by a JSON config")
     evo.add_argument("config", help="path to the run configuration JSON")
@@ -75,9 +75,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "")
+
+
 def _spec_from_args(args: argparse.Namespace) -> analytic.AnalyticCurveSpec:
+    """The spec of the given flags; an error names flags, not spec fields."""
+    own = [f.name for f in fields(analytic._SPEC_KINDS[args.kind])]
     given = {name: getattr(args, name) for name in _SPEC_FLAGS if hasattr(args, name)}
-    return analytic.spec_from_dict({"kind": args.kind, **given})
+    foreign = [name for name in given if name not in own]
+    if foreign:
+        raise ValueError(f"--kind {args.kind} takes no {_flag(foreign[0])}; "
+                         f"its flags: {', '.join(map(_flag, own))}")
+    try:
+        return analytic.spec_from_dict({"kind": args.kind, **given})
+    except DomainError as exc:
+        message = str(exc)
+        for name in own:
+            if "_" in name:  # a field whose flag is spelled without it
+                message = message.replace(name, _flag(name))
+        raise DomainError(message) from None
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -11,9 +11,15 @@ always '\\n'.
 
 Curve CSV contract: UTF-8, optional '#' comment lines, a mandatory
 leading comment `# closed=true` or `# closed=false`, a header line `x,y`,
-then one node per line. The reader sorts the stripped lines in Python and
-converts every coordinate of the file with one map(float) pass; a file may
-start with a UTF-8 byte-order mark.
+then one node per line; a file may start with a UTF-8 byte-order mark.
+A text in the writer's own layout (the `# closed=` line and the `x,y`
+header, then ASCII rows with no '#' and no line break but '\\n', whose
+commas and newlines alternate, the last row ending in '\\n') is read in one
+bulk pass: one numpy pass over its bytes checks the separators and one
+map(float) pass converts every coordinate. Any other text (comments or
+blank lines after the header, '\\r\\n' or another line break, non-ASCII
+digits, a malformed row) falls through to a walk over the stripped lines,
+which accepts the same files with the same nodes and names a bad line.
 """
 
 from __future__ import annotations
@@ -53,14 +59,23 @@ def write_curve_csv(curve: DiscreteCurve, path) -> None:
     _write_text(path, curve_to_csv(curve))
 
 
+_WRITER_FLAGS = {"# closed=true": True, "# closed=false": False}
+# The comment mark and every line break of str.splitlines that is ASCII but '\n'.
+_NOT_IN_WRITER_ROWS = ("#", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
 def curve_from_csv(text: str) -> DiscreteCurve:
     """Parse the curve CSV contract; raises ValueError on malformed input.
 
-    Python only sorts each stripped line into blank, comment, header or data
-    row; the rows are then checked for one comma each and all their cells
-    are converted by one map(float) pass. Line numbers are found only for
-    an error message.
+    A text in the writer's layout is read by _writer_nodes in one pass. Any
+    other text is walked line by line: Python sorts each stripped line into
+    blank, comment, header or data row; the rows are then checked for one
+    comma each and all their cells are converted by one map(float) pass.
+    Line numbers are found only for an error message.
     """
+    flag, _, tail = text.partition("\nx,y\n")
+    if flag in _WRITER_FLAGS and (nodes := _writer_nodes(tail)) is not None:
+        return DiscreteCurve(nodes, _WRITER_FLAGS[flag])
     lines = list(map(str.strip, text.splitlines()))
     closed: bool | None = None
     saw_header = False
@@ -91,6 +106,27 @@ def curve_from_csv(text: str) -> DiscreteCurve:
     if len(nodes) < 2:
         raise ValueError(f"need at least 2 nodes, got {len(nodes)}")
     return DiscreteCurve(nodes, closed)
+
+
+def _writer_nodes(body: str) -> np.ndarray | None:
+    """The nodes of a body of at least two rows in the writer's layout, or
+    None for any other body. On such a body the line walk would strip no
+    row into a blank or a comment and read each row's two cells alike."""
+    if not (body.endswith("\n") and body.isascii()) or any(
+            map(body.__contains__, _NOT_IN_WRITER_ROWS)):
+        return None
+    raw = np.frombuffer(body.encode(), np.uint8)
+    commas, breaks = np.flatnonzero(raw == 44), np.flatnonzero(raw == 10)
+    # Row i is the only one holding comma i when each lies between breaks i-1 and i.
+    if not (2 <= commas.size == breaks.size and (commas < breaks).all()
+            and (breaks[:-1] < commas[1:]).all()):
+        return None
+    cells = body[:-1].replace("\n", ",").split(",")
+    try:
+        nodes = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, 2)
+    except ValueError:
+        return None
+    return nodes if np.isfinite(nodes).all() else None
 
 
 def _parse_rows(lines: list[str], rows: list[str]) -> np.ndarray:

@@ -30,15 +30,35 @@ homothety center at the origin, so the inner product <gamma, nu> of a
 shifted input would be polluted by a <c, nu> term. Fitting K jointly with
 a free vector times nu removes exactly that term and makes the reported K
 independent of where the input happens to sit in the plane.
+
+One system per curve. The fits are made at unit length: on the curve
+scaled by the power of two 2**-e that brings its length into [1/2, 1).
+That scaling is exact, so the fits agree bit for bit with fits in the
+curve's own units wherever those stay in the double range, and the
+fitted constants are mapped back exactly (k1 by L^-1, k2 by L^-2, V by
+L^-3, K and S by L^-4). Without it the squares of kappa_ss overflow or
+underflow far from unit size, and the shrinker's condition number mixes
+the length <gamma, nu> with the unitless nu. The tests cover similarities
+with scale factors from 1e-60 to 1e60; a constant the double range cannot
+hold (K of a curve of length 1e-100) makes its fit unavailable. The
+shrinker, translator and rotator normal equations are blocks of one
+weighted Gram matrix X^T diag(dl) X of the columns [kappa_ss, <gamma, nu>,
+nu_x, nu_y, 2 <tangent, gamma>], their condition numbers come from the
+eigenvalues of the symmetric blocks, and defect_scale is computed once.
+The residuals are still weighted norms of explicit defect vectors: a
+quadratic form in the Gram matrix would cancel to round-off on exact
+solitons, whose residuals are near 1e-13.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import CurveDiffusionError, DegenerateGeometry, DomainError, OpenCurve
+from .errors import CurveDiffusionError, DegenerateGeometry, DomainError, NonFinite, OpenCurve
 from .geometry import CurveFields, DiscreteCurve, _d_ds, curve_fields
 
 # Relative threshold for degenerate normal equations.
@@ -105,10 +125,112 @@ def defect_scale(fields: CurveFields) -> float:
     )
 
 
-def _normalized(defect: np.ndarray, fields: CurveFields) -> float:
-    scale = defect_scale(fields)
-    value = _wnorm(defect, fields.dl)
-    return 0.0 if scale == 0.0 else value / scale
+def _ill_conditioned(eigenvalues: np.ndarray) -> bool:
+    """cond >= _DEGENERATE_COND for a symmetric matrix of these eigenvalues."""
+    size = np.abs(eigenvalues)
+    return bool(size.max() >= _DEGENERATE_COND * size.min())
+
+
+class _Fits:
+    """The four fits of one curve, made on its copy at unit length.
+
+    The copy is the curve scaled by 2**-e, with 2**e its length rounded up
+    to a power of two, so the copy's fields are the curve's fields scaled
+    exactly. Every fitted constant is mapped back to the curve's units;
+    one that the double range cannot hold raises NonFinite. One weighted
+    Gram matrix X^T diag(dl) X of the columns X = [kappa_ss, <gamma, nu>,
+    nu_x, nu_y, 2 <tangent, gamma>] holds the normal equations of the
+    shrinker, translator and rotator fits.
+    """
+
+    def __init__(self, curve: DiscreteCurve, fields: CurveFields | None = None) -> None:
+        fields = curve_fields(curve) if fields is None else fields
+        self.e = e = math.frexp(fields.length)[1]
+        self.closed = curve.closed
+        self.fields = CurveFields(
+            fields.tangent, fields.normal, np.ldexp(fields.kappa, e),
+            np.ldexp(fields.kappa_s, 2 * e), np.ldexp(fields.kappa_ss, 3 * e),
+            np.ldexp(fields.seg, -e), np.ldexp(fields.speed, -e))
+        self.nodes = np.ldexp(curve.nodes, -e)
+
+    def _in_units(self, value: float, power: int) -> float:
+        """A constant of unit length**-power fitted on the copy, in the curve's units."""
+        try:
+            return math.ldexp(float(value), -power * self.e)
+        except OverflowError:
+            raise NonFinite(f"the fitted constant {float(value)!r} * 2**{-power * self.e} "
+                            "overflows at this scale") from None
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        f = self.fields
+        return np.column_stack([f.kappa_ss, np.sum(self.nodes * f.normal, axis=1), f.normal,
+                                2.0 * np.sum(f.tangent * self.nodes, axis=1)])
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        x = self._columns
+        return x.T @ (x * self.fields.dl[:, None])
+
+    @cached_property
+    def _scale(self) -> float:
+        return defect_scale(self.fields)
+
+    def _residual(self, defect: np.ndarray) -> float:
+        scale = self._scale
+        return 0.0 if scale == 0.0 else _wnorm(defect, self.fields.dl) / scale
+
+    def stationary(self) -> StationaryFit:
+        fields = self.fields
+        dl, kap = fields.dl, fields.kappa
+        total = fields.length
+        k1 = float(np.sum(kap * dl) / total)
+        k2, fitted = 0.0, k1
+        if not self.closed:
+            ds = fields.s - float(np.sum(fields.s * dl) / total)
+            k2 = float(np.sum(kap * ds * dl) / float(np.sum(ds**2 * dl)))
+            fitted = k1 + k2 * ds
+        nk = _wnorm(kap, dl)
+        residual = 0.0 if nk == 0.0 else _wnorm(kap - fitted, dl) / nk
+        return StationaryFit(k1=self._in_units(k1, 1), k2=self._in_units(k2, 2),
+                             residual=residual)
+
+    def shrinker(self) -> ShrinkerFit:
+        gram = self._gram
+        if gram[1, 1] <= _DEGENERATE_DEN * self.fields.length**3:
+            raise DegenerateGeometry(
+                "<gamma, nu> vanishes along the curve; the shrinker constant "
+                "is not identifiable"
+            )
+        block = gram[1:4, 1:4]
+        if _ill_conditioned(np.linalg.eigvalsh(block)):
+            raise DegenerateGeometry("shrinker normal equations are singular")
+        coef = np.linalg.solve(block, -gram[1:4, 0])
+        defect = self.fields.kappa_ss + self._columns[:, 1:4] @ coef
+        return ShrinkerFit(K=self._in_units(coef[0], 4), residual=self._residual(defect))
+
+    def translator(self) -> TranslatorFit:
+        gram = self._gram
+        m, b = gram[2:4, 2:4], -gram[2:4, 0]
+        w, vecs = np.linalg.eigh(m)
+        constrained = _ill_conditioned(w)
+        if constrained:
+            dominant = vecs[:, -1]
+            v = (float(dominant @ b) / float(w[-1])) * dominant
+        else:
+            v = np.linalg.solve(m, b)
+        defect = self.fields.kappa_ss + self.fields.normal @ v
+        return TranslatorFit(V=(self._in_units(v[0], 3), self._in_units(v[1], 3)),
+                             residual=self._residual(defect), constrained=constrained)
+
+    def rotator(self) -> RotatorFit:
+        gram = self._gram
+        kss = self.fields.kappa_ss
+        if gram[4, 4] < _DEGENERATE_DEN * self.fields.length**3:
+            return RotatorFit(S=None, residual=self._residual(kss))
+        s_hat = -gram[0, 4] / gram[4, 4]
+        defect = kss + s_hat * self._columns[:, 4]
+        return RotatorFit(S=self._in_units(s_hat, 4), residual=self._residual(defect))
 
 
 def fit_stationary(curve: DiscreteCurve, fields: CurveFields | None = None) -> StationaryFit:
@@ -121,18 +243,7 @@ def fit_stationary(curve: DiscreteCurve, fields: CurveFields | None = None) -> S
     result does not depend on node 0 or the direction. The residual is
     normalized by ||kappa||.
     """
-    fields = curve_fields(curve) if fields is None else fields
-    dl, kap = fields.dl, fields.kappa
-    total = fields.length
-    k1 = float(np.sum(kap * dl) / total)
-    k2, fitted = 0.0, k1
-    if not curve.closed:
-        ds = fields.s - float(np.sum(fields.s * dl) / total)
-        k2 = float(np.sum(kap * ds * dl) / float(np.sum(ds**2 * dl)))
-        fitted = k1 + k2 * ds
-    nk = _wnorm(kap, dl)
-    residual = 0.0 if nk == 0.0 else _wnorm(kap - fitted, dl) / nk
-    return StationaryFit(k1=k1, k2=k2, residual=residual)
+    return _Fits(curve, fields).stationary()
 
 
 def fit_shrinker(curve: DiscreteCurve, fields: CurveFields | None = None) -> ShrinkerFit:
@@ -143,22 +254,7 @@ def fit_shrinker(curve: DiscreteCurve, fields: CurveFields | None = None) -> Shr
     identically zero in the weighted sense (straight line through the
     origin), where K is meaningless.
     """
-    fields = curve_fields(curve) if fields is None else fields
-    dl, nu, kss = fields.dl, fields.normal, fields.kappa_ss
-    gdn = np.sum(curve.nodes * nu, axis=1)
-    total = fields.length
-    if float(np.sum(gdn**2 * dl)) <= _DEGENERATE_DEN * total**3:
-        raise DegenerateGeometry(
-            "<gamma, nu> vanishes along the curve; the shrinker constant "
-            "is not identifiable"
-        )
-    design = np.column_stack([gdn, nu[:, 0], nu[:, 1]])
-    gram = design.T @ (design * dl[:, None])
-    if np.linalg.cond(gram) >= _DEGENERATE_COND:
-        raise DegenerateGeometry("shrinker normal equations are singular")
-    coef = np.linalg.solve(gram, design.T @ (-kss * dl))
-    defect = kss + design @ coef
-    return ShrinkerFit(K=float(coef[0]), residual=_normalized(defect, fields))
+    return _Fits(curve, fields).shrinker()
 
 
 def fit_translator(curve: DiscreteCurve, fields: CurveFields | None = None) -> TranslatorFit:
@@ -166,26 +262,11 @@ def fit_translator(curve: DiscreteCurve, fields: CurveFields | None = None) -> T
 
     When the 2x2 normal-equation matrix is near-singular (all normals
     parallel, e.g. a straight line) only the component of V along nu is
-    identifiable; that one-dimensional fit is returned with the
-    constrained flag set instead of raising.
+    identifiable; that one-dimensional fit, along the eigenvector of the
+    larger eigenvalue, is returned with the constrained flag set instead
+    of raising.
     """
-    fields = curve_fields(curve) if fields is None else fields
-    dl, nu, kss = fields.dl, fields.normal, fields.kappa_ss
-    m = nu.T @ (nu * dl[:, None])
-    b = nu.T @ (-kss * dl)
-    constrained = bool(np.linalg.cond(m) >= _DEGENERATE_COND)
-    if constrained:
-        w, vecs = np.linalg.eigh(m)
-        dominant = vecs[:, -1]
-        v = (float(dominant @ b) / float(w[-1])) * dominant
-    else:
-        v = np.linalg.solve(m, b)
-    defect = kss + nu @ v
-    return TranslatorFit(
-        V=(float(v[0]), float(v[1])),
-        residual=_normalized(defect, fields),
-        constrained=constrained,
-    )
+    return _Fits(curve, fields).translator()
 
 
 def fit_rotator(curve: DiscreteCurve, fields: CurveFields | None = None) -> RotatorFit:
@@ -196,16 +277,7 @@ def fit_rotator(curve: DiscreteCurve, fields: CurveFields | None = None) -> Rota
     S = None (Indeterminate) with the residual evaluated at S = 0. That is
     a reported state, not an error.
     """
-    fields = curve_fields(curve) if fields is None else fields
-    dl, kss = fields.dl, fields.kappa_ss
-    g = 2.0 * np.sum(fields.tangent * curve.nodes, axis=1)
-    total = fields.length
-    denom = float(np.sum(g**2 * dl))
-    if denom < _DEGENERATE_DEN * total**3:
-        return RotatorFit(S=None, residual=_normalized(kss, fields))
-    s_hat = float(-np.sum(kss * g * dl) / denom)
-    defect = kss + s_hat * g
-    return RotatorFit(S=s_hat, residual=_normalized(defect, fields))
+    return _Fits(curve, fields).rotator()
 
 
 def classify(curve: DiscreteCurve, tol: float = DEFAULT_TOL) -> SolitonReport:
@@ -223,13 +295,12 @@ def classify(curve: DiscreteCurve, tol: float = DEFAULT_TOL) -> SolitonReport:
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise DomainError(f"classify tol must be a finite positive number, got {tol}")
-    fields = curve_fields(curve)
+    system = _Fits(curve)
     fits: dict[str, object] = {}
     unavailable: dict[str, str] = {}
-    for name, fit in zip(VERDICT_PRIORITY, (fit_stationary, fit_shrinker,
-                                            fit_translator, fit_rotator)):
+    for name in VERDICT_PRIORITY:
         try:
-            fits[name] = fit(curve, fields)
+            fits[name] = getattr(system, name)()
         except CurveDiffusionError as exc:
             unavailable[name] = str(exc)
 

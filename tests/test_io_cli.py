@@ -466,17 +466,36 @@ def test_cli_generate_flags_are_the_spec_fields(capsys):
 
 @pytest.mark.parametrize("kind", list(analytic._SPEC_KINDS))
 def test_cli_generate_rejects_flags_of_other_kinds(tmp_path, kind):
-    own = {f.name for f in dataclasses.fields(analytic._SPEC_KINDS[kind])}
+    own = [f.name for f in dataclasses.fields(analytic._SPEC_KINDS[kind])]
     out = tmp_path / "c.csv"
     foreign = [f for name, f in _SPEC_FIELDS.items() if name not in own]
     assert foreign
     for field in foreign:
         values = ["1", "2"] if field.type == "tuple[float, float]" else ["5"]
-        code, err = _run_cli(["generate", "--kind", kind,
-                              "--" + field.name.replace("_", ""), *values, "--out", str(out)])
+        flag = "--" + field.name.replace("_", "")
+        code, err = _run_cli(["generate", "--kind", kind, flag, *values, "--out", str(out)])
         assert code == 2
-        assert err.startswith("error: ") and f"no field {field.name!r}" in err
+        assert err == (f"error: --kind {kind} takes no {flag}; its flags: "
+                       + ", ".join("--" + name.replace("_", "") for name in own) + "\n")
         assert not out.exists()
+
+
+def test_cli_generate_errors_name_flags(tmp_path):
+    # The spec fields s_min and s_max are the flags --smin and --smax.
+    out = tmp_path / "c.csv"
+    code, err = _run_cli(["generate", "--kind", "circle", "--smin", "1", "--out", str(out)])
+    assert (code, err) == (2, "error: --kind circle takes no --smin; "
+                              "its flags: --radius, --center, --orientation\n")
+    code, err = _run_cli(["generate", "--kind", "fresnel", "--smin", "2", "--out", str(out)])
+    assert (code, err) == (2, "error: need --smin < --smax, got [2.0, 1.0]\n")
+    assert not out.exists()
+    # A config names the JSON key, as written.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"input": {"spec": {"kind": "circle", "s_min": 1.0}},
+                                  "flow": {}, "out_dir": str(tmp_path / "run")}))
+    code, err = _run_cli(["evolve", str(config)])
+    assert (code, err) == (2, "error: 'circle' spec has no field 's_min'; "
+                              "fields: radius, center, orientation\n")
 
 
 @pytest.mark.parametrize("value", ["0.5", "0", "2"])

@@ -179,10 +179,10 @@ def test_classify_tol_threshold(lemniscate_512):
 def test_classify_expander_relabel(monkeypatch, lemniscate_512):
     # No closed-form expander exists to sample, so fake a positive-K
     # shrinker fit to exercise the relabelling rule.
-    def fake_shrinker(curve, fields=None):
+    def fake_shrinker(fits):
         return soliton.ShrinkerFit(K=6.0, residual=1e-5)
 
-    monkeypatch.setattr(soliton, "fit_shrinker", fake_shrinker)
+    monkeypatch.setattr(soliton._Fits, "shrinker", fake_shrinker)
     report = cd.classify(lemniscate_512)
     assert report.verdict == "expander"
 
