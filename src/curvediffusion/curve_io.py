@@ -67,15 +67,20 @@ _NOT_IN_WRITER_ROWS = ("#", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 def curve_from_csv(text: str) -> DiscreteCurve:
     """Parse the curve CSV contract; raises ValueError on malformed input.
 
-    A text in the writer's layout is read by _writer_nodes in one pass. Any
-    other text is walked line by line: Python sorts each stripped line into
-    blank, comment, header or data row; the rows are then checked for one
-    comma each and all their cells are converted by one map(float) pass.
-    Line numbers are found only for an error message.
+    A text in the writer's layout is read by _writer_nodes in one pass, any
+    other text by _walk_lines.
     """
     flag, _, tail = text.partition("\nx,y\n")
     if flag in _WRITER_FLAGS and (nodes := _writer_nodes(tail)) is not None:
         return DiscreteCurve(nodes, _WRITER_FLAGS[flag])
+    return _walk_lines(text)
+
+
+def _walk_lines(text: str) -> DiscreteCurve:
+    """Python sorts each stripped line into blank, comment, header or data
+    row; the rows are then checked for one comma each and all their cells
+    are converted by one map(float) pass. Line numbers are found only for
+    an error message."""
     lines = list(map(str.strip, text.splitlines()))
     closed: bool | None = None
     saw_header = False
