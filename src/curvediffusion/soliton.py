@@ -113,7 +113,7 @@ class SolitonReport:
 
 
 def _wnorm(values: np.ndarray, dl: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(values**2 * dl)))
+    return float(np.sqrt(np.dot(values * values, dl)))
 
 
 def defect_scale(fields: CurveFields) -> float:
@@ -125,10 +125,16 @@ def defect_scale(fields: CurveFields) -> float:
     )
 
 
-def _ill_conditioned(eigenvalues: np.ndarray) -> bool:
-    """cond >= _DEGENERATE_COND for a symmetric matrix of these eigenvalues."""
-    size = np.abs(eigenvalues)
-    return bool(size.max() >= _DEGENERATE_COND * size.min())
+def _normal_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve symmetric normal equations by eigendecomposition, and say whether
+    they are singular (condition number >= _DEGENERATE_COND); a singular
+    system is solved along the eigenvector of its largest eigenvalue only."""
+    w, vecs = np.linalg.eigh(gram)
+    size = np.abs(w)
+    singular = bool(size.max() >= _DEGENERATE_COND * size.min())
+    if singular:
+        w, vecs = w[-1:], vecs[:, -1:]
+    return vecs @ ((vecs.T @ rhs) / w), singular
 
 
 class _Fits:
@@ -162,15 +168,17 @@ class _Fits:
                             "overflows at this scale") from None
 
     @cached_property
-    def _columns(self) -> np.ndarray:
+    def _rows(self) -> np.ndarray:
+        """X^T: the rows kappa_ss, <gamma, nu>, nu_x, nu_y, 2 <tangent, gamma>."""
         f = self.fields
-        return np.column_stack([f.kappa_ss, np.sum(self.nodes * f.normal, axis=1), f.normal,
-                                2.0 * np.sum(f.tangent * self.nodes, axis=1)])
+        x, y = self.nodes.T
+        (nx, ny), (tx, ty) = f.normal.T, f.tangent.T
+        return np.array([f.kappa_ss, x * nx + y * ny, nx, ny, 2.0 * (tx * x + ty * y)])
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        x = self._columns
-        return x.T @ (x * self.fields.dl[:, None])
+        rows = self._rows
+        return rows @ (rows * self.fields.dl).T
 
     @cached_property
     def _scale(self) -> float:
@@ -202,24 +210,15 @@ class _Fits:
                 "<gamma, nu> vanishes along the curve; the shrinker constant "
                 "is not identifiable"
             )
-        block = gram[1:4, 1:4]
-        if _ill_conditioned(np.linalg.eigvalsh(block)):
+        coef, singular = _normal_solve(gram[1:4, 1:4], -gram[1:4, 0])
+        if singular:
             raise DegenerateGeometry("shrinker normal equations are singular")
-        coef = np.linalg.solve(block, -gram[1:4, 0])
-        defect = self.fields.kappa_ss + self._columns[:, 1:4] @ coef
+        defect = self.fields.kappa_ss + coef @ self._rows[1:4]
         return ShrinkerFit(K=self._in_units(coef[0], 4), residual=self._residual(defect))
 
     def translator(self) -> TranslatorFit:
-        gram = self._gram
-        m, b = gram[2:4, 2:4], -gram[2:4, 0]
-        w, vecs = np.linalg.eigh(m)
-        constrained = _ill_conditioned(w)
-        if constrained:
-            dominant = vecs[:, -1]
-            v = (float(dominant @ b) / float(w[-1])) * dominant
-        else:
-            v = np.linalg.solve(m, b)
-        defect = self.fields.kappa_ss + self.fields.normal @ v
+        v, constrained = _normal_solve(self._gram[2:4, 2:4], -self._gram[2:4, 0])
+        defect = self.fields.kappa_ss + v @ self._rows[2:4]
         return TranslatorFit(V=(self._in_units(v[0], 3), self._in_units(v[1], 3)),
                              residual=self._residual(defect), constrained=constrained)
 
@@ -229,7 +228,7 @@ class _Fits:
         if gram[4, 4] < _DEGENERATE_DEN * self.fields.length**3:
             return RotatorFit(S=None, residual=self._residual(kss))
         s_hat = -gram[0, 4] / gram[4, 4]
-        defect = kss + s_hat * self._columns[:, 4]
+        defect = kss + s_hat * self._rows[4]
         return RotatorFit(S=self._in_units(s_hat, 4), residual=self._residual(defect))
 
 

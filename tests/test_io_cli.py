@@ -161,7 +161,7 @@ _BREAK = st.sampled_from(["\n", "\r\n", "\r", "\u2028"])
 
 
 @st.composite
-def _csv_documents(draw):
+def _free_documents(draw):
     """(text, faults): a curve CSV and an upper bound on its number of faults."""
     flag = draw(st.sampled_from(["# closed=true", "# closed=false", " #Closed= TRUE ", None]))
     header = draw(st.sampled_from(["x,y", " X,Y ", None]))
@@ -181,6 +181,44 @@ def _csv_documents(draw):
         faults = None
     text = "".join(line + draw(_BREAK) for line in lines)
     return (text if draw(st.booleans()) else text.rstrip()), faults
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                             "\u0665\u0666\u0667\u0668\u0669")
+# Each edit but the last keeps a writer file valid; all but "none" leave its layout.
+_WRITER_EDITS = ("none", "comment", "blank", "crlf", "cr", "arabic", "late_flag",
+                 "no_final_newline", "three_cells")
+
+
+@st.composite
+def _writer_documents(draw):
+    """(text, faults): curve_to_csv of finite nodes with at most one edit."""
+    nodes = draw(st.lists(st.tuples(_FINITE, _FINITE), min_size=2, max_size=12))
+    crv = cd.DiscreteCurve(np.array(nodes, dtype=float), draw(st.booleans()))
+    lines = curve_io.curve_to_csv(crv).split("\n")[:-1]
+    breaks = ["\n"] * len(lines)
+    edit = draw(st.sampled_from(_WRITER_EDITS))
+    row = draw(st.integers(2, len(lines) - 1))
+    if edit in ("comment", "blank"):
+        lines.insert(row, "# a note" if edit == "comment" else "")
+        breaks.append("\n")
+    elif edit in ("crlf", "cr"):
+        breaks[draw(st.integers(0, len(breaks) - 1))] = "\r\n" if edit == "crlf" else "\r"
+    elif edit == "arabic":
+        cell = str(draw(st.integers(0, 999))).translate(_ARABIC_INDIC)
+        lines[row] = cell + lines[row][lines[row].index(","):]
+    elif edit == "late_flag":
+        lines.append(draw(st.sampled_from(["# closed=true", "# closed=false"])))
+        breaks.append("\n")
+    elif edit == "three_cells":
+        lines[row] += ",0"
+    text = "".join(map(str.__add__, lines, breaks))
+    return (text[:-1] if edit == "no_final_newline" else text), int(edit == "three_cells")
+
+
+def _csv_documents():
+    """(text, faults): a curve CSV and an upper bound on its number of faults."""
+    return st.one_of(_free_documents(), _writer_documents())
 
 
 def _parse_outcome(reader, text):
@@ -208,6 +246,28 @@ def test_csv_reader_matches_reference(doc):
         assert error is not None
         if faults == 1:
             assert error == expected_error
+
+
+def test_csv_reader_takes_bulk_pass_on_writer_files(monkeypatch, tmp_path, lemniscate_512,
+                                                    clothoid_512):
+    # Every file the writers make is read without the line walk.
+    def no_walk(text):
+        raise AssertionError("line walk")
+
+    monkeypatch.setattr(curve_io, "_walk_lines", no_walk)
+    for crv in (lemniscate_512, clothoid_512, moved(ellipse_curve(64), 0.3, (1e9, -2.0)),
+                moved(ellipse_curve(64), scale=1e-300)):
+        path = tmp_path / "c.csv"
+        curve_io.write_curve_csv(crv, path)
+        back = curve_io.read_curve_csv(path)
+        assert back.closed is crv.closed
+        assert back.nodes.tobytes() == crv.nodes.tobytes()
+    traj = flow.evolve(lemniscate_512, flow.FlowSpec(t_end=1e-6, snapshot_every=1))
+    curve_io.write_run_directory(tmp_path / "run", {}, traj, emit_svg=True)
+    for path in sorted((tmp_path / "run" / "snapshots").glob("*.csv")):
+        assert curve_io.read_curve_csv(path).n == 512
+    with pytest.raises(AssertionError, match="line walk"):
+        curve_io.curve_from_csv(curve_io.curve_to_csv(clothoid_512).replace("\n", "\r\n"))
 
 
 # ---------------------------------------------------------------------------

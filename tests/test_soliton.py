@@ -1,6 +1,8 @@
 """Soliton fits, classification, and the rigidity integral identities."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 import curvediffusion as cd
 from curvediffusion import soliton
+from curvediffusion.errors import CurveDiffusionError, DegenerateGeometry
+from curvediffusion.geometry import curve_fields
 from conftest import FIXTURE_DIR, ellipse_curve, moved, rotation
 
 
@@ -285,27 +289,34 @@ def _close(got: float, want: float, offset: float = 0.0) -> bool:
     return got == pytest.approx(want, rel=1e-8, abs=1e-9 * (1.0 + offset))
 
 
+# Scale factors log-uniform over 120 decades.
+_RHO = st.floats(-60.0, 60.0).map(lambda p: 10.0**p)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(sorted(_FIXTURE_CURVES)),
     angle=st.floats(0.0, 2 * np.pi),
     shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
-    rho=st.floats(0.25, 4.0),
+    rho=_RHO,
     reverse=st.booleans(),
 )
 def test_classify_invariant_under_similarity(name, angle, shift, rho, reverse):
     # The rotator equation singles out the origin, so its fit is checked
-    # separately under rotations about the origin only.
+    # separately under rotations about the origin only. The shift is in
+    # units of the fixture, so it is scaled with it.
     crv = _FIXTURE_CURVES[name]
     base = cd.classify(crv)
-    got = cd.classify(moved(crv.reversed() if reverse else crv, angle, shift, rho))
-    offset = float(np.hypot(*shift)) / rho
+    got = cd.classify(moved(crv.reversed() if reverse else crv, angle,
+                            rho * np.asarray(shift), rho))
+    offset = float(np.hypot(*shift))
     assert got.verdict == base.verdict
     for fit in ("stationary", "shrinker", "translator"):
         assert _close(getattr(got, fit).residual, getattr(base, fit).residual, offset)
-    assert _close(got.shrinker.K * rho**4, base.shrinker.K, offset)
+    # rho**4 alone would leave the double range at the ends of _RHO.
+    assert _close(got.shrinker.K * rho**2 * rho**2, base.shrinker.K, offset)
     want_v = rotation(angle) @ np.asarray(base.translator.V)
-    for got_c, want_c in zip(np.asarray(got.translator.V) * rho**3, want_v):
+    for got_c, want_c in zip(np.asarray(got.translator.V) * rho * rho * rho, want_v):
         assert _close(got_c, want_c, offset)
 
 
@@ -324,7 +335,7 @@ def test_stationary_fit_closed_reversal_seam(perturbed_ellipse):
 @given(
     name=st.sampled_from(sorted(_FIXTURE_CURVES)),
     angle=st.floats(0.0, 2 * np.pi),
-    rho=st.floats(0.25, 4.0),
+    rho=_RHO,
     reverse=st.booleans(),
 )
 def test_rotator_fit_invariant_about_origin(name, angle, rho, reverse):
@@ -334,7 +345,166 @@ def test_rotator_fit_invariant_about_origin(name, angle, rho, reverse):
     assert _close(got.residual, base.residual)
     assert (got.S is None) == (base.S is None)
     if base.S is not None:
-        assert _close(got.S * rho**4, base.S)
+        assert _close(got.S * rho**2 * rho**2, base.S)
+
+
+@pytest.mark.parametrize("rho", [1e-60, 1e-6, 1e8, 1e60])
+def test_classify_lemniscate_at_extreme_scales(rho):
+    crv = _FIXTURE_CURVES["lemniscate_256"]
+    base = cd.report_to_dict(cd.classify(crv))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cd.report_to_dict(cd.classify(moved(crv, scale=rho)))
+    assert got["verdict"] == "shrinker"
+    assert got["shrinker"]["residual"] == base["shrinker"]["residual"]
+    assert got["shrinker"]["K"] * rho**2 * rho**2 == pytest.approx(base["shrinker"]["K"],
+                                                                   rel=1e-10)
+
+
+def test_classify_constant_out_of_range_is_unavailable():
+    # K and S of a curve of length 1e-100 exceed the double range.
+    crv = moved(_FIXTURE_CURVES["lemniscate_256"], scale=1e-100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cd.classify(crv)
+    assert report.shrinker is None and report.rotator is None
+    assert "overflows at this scale" in report.unavailable["shrinker"]
+    assert report.stationary.residual == pytest.approx(1.0)
+
+
+def test_fits_unit_length_agrees_bit_for_bit():
+    # Scaling by a power of two is exact, and so is the map back.
+    crv = _FIXTURE_CURVES["perturbed_ellipse_256"]
+    for power in (-40, 3, 40):
+        got = cd.classify(moved(crv, scale=2.0**power))
+        base = cd.classify(crv)
+        assert got.shrinker.K == base.shrinker.K * 2.0 ** (-4 * power)
+        assert got.stationary.k1 == base.stationary.k1 * 2.0 ** -power
+        assert got.translator.residual == base.translator.residual
+
+
+# ---------------------------------------------------------------------------
+# Reference: the four separate fits that the one-Gram classify replaced
+
+
+def _reference_classify(curve: cd.DiscreteCurve, tol: float = soliton.DEFAULT_TOL):
+    fields = curve_fields(curve)
+    dl, nu, kss, kap = fields.dl, fields.normal, fields.kappa_ss, fields.kappa
+    total = fields.length
+
+    def wnorm(values):
+        return float(np.sqrt(np.sum(values**2 * dl)))
+
+    def normalized(defect):
+        scale = soliton.defect_scale(fields)
+        return 0.0 if scale == 0.0 else wnorm(defect) / scale
+
+    def stationary():
+        k1 = float(np.sum(kap * dl) / total)
+        k2, fitted = 0.0, k1
+        if not curve.closed:
+            ds = fields.s - float(np.sum(fields.s * dl) / total)
+            k2 = float(np.sum(kap * ds * dl) / float(np.sum(ds**2 * dl)))
+            fitted = k1 + k2 * ds
+        nk = wnorm(kap)
+        return soliton.StationaryFit(k1, k2, 0.0 if nk == 0.0 else wnorm(kap - fitted) / nk)
+
+    def shrinker():
+        gdn = np.sum(curve.nodes * nu, axis=1)
+        if float(np.sum(gdn**2 * dl)) <= soliton._DEGENERATE_DEN * total**3:
+            raise DegenerateGeometry("<gamma, nu> vanishes along the curve; the shrinker "
+                                     "constant is not identifiable")
+        design = np.column_stack([gdn, nu[:, 0], nu[:, 1]])
+        gram = design.T @ (design * dl[:, None])
+        if np.linalg.cond(gram) >= soliton._DEGENERATE_COND:
+            raise DegenerateGeometry("shrinker normal equations are singular")
+        coef = np.linalg.solve(gram, design.T @ (-kss * dl))
+        return soliton.ShrinkerFit(float(coef[0]), normalized(kss + design @ coef))
+
+    def translator():
+        m, b = nu.T @ (nu * dl[:, None]), nu.T @ (-kss * dl)
+        constrained = bool(np.linalg.cond(m) >= soliton._DEGENERATE_COND)
+        if constrained:
+            w, vecs = np.linalg.eigh(m)
+            v = (float(vecs[:, -1] @ b) / float(w[-1])) * vecs[:, -1]
+        else:
+            v = np.linalg.solve(m, b)
+        return soliton.TranslatorFit((float(v[0]), float(v[1])), normalized(kss + nu @ v),
+                                     constrained)
+
+    def rotator():
+        g = 2.0 * np.sum(fields.tangent * curve.nodes, axis=1)
+        denom = float(np.sum(g**2 * dl))
+        if denom < soliton._DEGENERATE_DEN * total**3:
+            return soliton.RotatorFit(None, normalized(kss))
+        s_hat = float(-np.sum(kss * g * dl) / denom)
+        return soliton.RotatorFit(s_hat, normalized(kss + s_hat * g))
+
+    fits, unavailable = {}, {}
+    for name, fit in zip(soliton.VERDICT_PRIORITY, (stationary, shrinker, translator, rotator)):
+        try:
+            fits[name] = fit()
+        except CurveDiffusionError as exc:
+            unavailable[name] = str(exc)
+    candidates = [(fits[name].residual, rank, name)
+                  for rank, name in enumerate(soliton.VERDICT_PRIORITY)
+                  if name in fits and fits[name].residual < tol]
+    verdict = min(candidates)[2] if candidates else None
+    if verdict == "shrinker" and fits["shrinker"].K > 0.0:
+        verdict = "expander"
+    return soliton.SolitonReport(**{name: fits.get(name) for name in soliton.VERDICT_PRIORITY},
+                                 unavailable=unavailable, verdict=verdict)
+
+
+def _assert_matches_reference(crv: cd.DiscreteCurve) -> None:
+    # Constants agree to 1e-10 relative, or 1e-10 absolute at unit length:
+    # a constant that is round-off (K of a circle, k1 of a figure eight)
+    # follows the order of the sums, which the Gram matrix changes.
+    unit = cd.length(crv)
+    got, want = cd.classify(crv), _reference_classify(crv)
+    assert got.verdict == want.verdict
+    assert got.unavailable.keys() == want.unavailable.keys()
+    for name in soliton.VERDICT_PRIORITY:
+        g, w = cd.report_to_dict(got)[name], cd.report_to_dict(want)[name]
+        assert g.keys() == w.keys()
+        if "residual" in w:
+            assert g["residual"] == w["residual"], name
+    for got_c, want_c, power in (
+            (got.stationary.k1, want.stationary.k1, 1),
+            (got.stationary.k2, want.stationary.k2, 2),
+            *([(got.shrinker.K, want.shrinker.K, 4)] if want.shrinker else [])):
+        assert got_c == pytest.approx(want_c, rel=1e-10, abs=1e-10 / unit**power)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_FIXTURE_CURVES)),
+    angle=st.floats(0.0, 2 * np.pi),
+    shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    rho=st.floats(-3.0, 3.0).map(lambda p: 10.0**p),
+    reverse=st.booleans(),
+)
+def test_classify_matches_reference(name, angle, shift, rho, reverse):
+    crv = _FIXTURE_CURVES[name]
+    _assert_matches_reference(moved(crv.reversed() if reverse else crv, angle,
+                                    rho * np.asarray(shift), rho))
+
+
+@pytest.mark.parametrize("spec", [
+    cd.Line(point=(0.0, 1.0), direction=(1.0, 0.0), s_min=-1.0, s_max=1.0),
+    cd.Circle(1.0),
+], ids=["line", "origin_circle"])
+def test_degenerate_fits_match_reference_without_warnings(spec):
+    crv = cd.sample_analytic(spec, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cd.classify(crv)
+        _assert_matches_reference(crv)
+    if isinstance(spec, cd.Line):
+        assert report.translator.constrained
+        assert "shrinker" in report.unavailable and report.shrinker is None
+    else:
+        assert report.rotator.S is None
 
 
 # ---------------------------------------------------------------------------
