@@ -24,7 +24,6 @@ which accepts the same files with the same nodes and names a bad line.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import asdict
@@ -126,7 +125,12 @@ def _writer_nodes(body: str) -> np.ndarray | None:
     if not (2 <= commas.size == breaks.size and (commas < breaks).all()
             and (breaks[:-1] < commas[1:]).all()):
         return None
-    cells = body[:-1].replace("\n", ",").split(",")
+    return _cell_nodes(body[:-1].replace("\n", ",").split(","))
+
+
+def _cell_nodes(cells: list[str]) -> np.ndarray | None:
+    """The nodes of the cells read as (x, y) pairs in one map(float) pass, or
+    None when a cell is not a finite float."""
     try:
         nodes = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, 2)
     except ValueError:
@@ -139,12 +143,9 @@ def _parse_rows(lines: list[str], rows: list[str]) -> np.ndarray:
     give a malformed row its line number."""
     # One comma per row, not just two cells per row on average: a total
     # would re-pair the rows '0,0', '1', '2,3,4' into (0, 0), (1, 2), (3, 4).
-    if list(map(str.count, rows, repeat(","))).count(1) == len(rows):
-        cells = ",".join(rows).split(",")
-        with contextlib.suppress(ValueError):
-            nodes = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, 2)
-            if np.isfinite(nodes).all():
-                return nodes
+    if (list(map(str.count, rows, repeat(","))).count(1) == len(rows)
+            and (nodes := _cell_nodes(",".join(rows).split(","))) is not None):
+        return nodes
     # Some row is malformed: name the first one and its line.
     for index, row in enumerate(rows):
         if fault := _row_fault(row):
