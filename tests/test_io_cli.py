@@ -185,9 +185,11 @@ def _free_documents(draw):
 
 _ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                                              "\u0665\u0666\u0667\u0668\u0669")
-# Each edit but the last keeps a writer file valid; all but "none" leave its layout.
+# Each edit but the last two keeps a writer file valid; all but "none" leave
+# its layout. "split_row" puts a line break before a row's comma, which
+# float() alone would read as whitespace.
 _WRITER_EDITS = ("none", "comment", "blank", "crlf", "cr", "arabic", "late_flag",
-                 "no_final_newline", "three_cells")
+                 "no_final_newline", "three_cells", "split_row")
 
 
 @st.composite
@@ -212,8 +214,12 @@ def _writer_documents(draw):
         breaks.append("\n")
     elif edit == "three_cells":
         lines[row] += ",0"
+    elif edit == "split_row":
+        brk = draw(st.sampled_from(["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]))
+        lines[row] = lines[row].replace(",", brk + ",")
     text = "".join(map(str.__add__, lines, breaks))
-    return (text[:-1] if edit == "no_final_newline" else text), int(edit == "three_cells")
+    faults = {"three_cells": 1, "split_row": 2}.get(edit, 0)
+    return (text[:-1] if edit == "no_final_newline" else text), faults
 
 
 def _csv_documents():
