@@ -138,16 +138,10 @@ def _normal_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 class _Fits:
-    """The four fits of one curve, made on its copy at unit length.
-
-    The copy is the curve scaled by 2**-e, with 2**e its length rounded up
-    to a power of two, so the copy's fields are the curve's fields scaled
-    exactly. Every fitted constant is mapped back to the curve's units;
-    one that the double range cannot hold raises NonFinite. One weighted
-    Gram matrix X^T diag(dl) X of the columns X = [kappa_ss, <gamma, nu>,
-    nu_x, nu_y, 2 <tangent, gamma>] holds the normal equations of the
-    shrinker, translator and rotator fits.
-    """
+    """The four fits of one curve, made on its copy scaled by 2**-e, where
+    2**e is its length rounded up to a power of two (see the module
+    docstring). A fitted constant that the double range cannot hold in
+    the curve's units raises NonFinite."""
 
     def __init__(self, curve: DiscreteCurve, fields: CurveFields | None = None) -> None:
         fields = curve_fields(curve) if fields is None else fields
