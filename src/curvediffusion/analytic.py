@@ -71,6 +71,7 @@ def _elliptic_k_agm(m: float) -> float:
 
 
 def _elliptic_k_quadrature(m: float) -> float:
+    # The tests' independent reference for elliptic_K (they agree to ~1e-15).
     # K(m) = integral_0^{pi/2} (a + b sin^2 t)^(-1/2) dt with a, b >= 0: t = theta
     # for m <= 0 (a = 1, b = -m), t = pi/2 - theta for m > 0 (a = 1 - m, b = m),
     # which puts the peak at t = 0 and avoids the cancellation in
@@ -85,22 +86,13 @@ def _elliptic_k_quadrature(m: float) -> float:
     return float(np.sum(panels))
 
 
-def elliptic_K(m: float, method: str = "agm") -> float:
-    """Complete elliptic integral of the first kind, parameter form.
-
-    K(m) = integral_0^{pi/2} (1 - m sin^2 theta)^(-1/2) dtheta for m < 1.
-    The default route, method="agm", is the AGM iteration
-    K(m) = pi / (2 AGM(1, sqrt(1 - m))), which holds for every m < 1.
-    method="quadrature" integrates the definition instead, with composite
-    Gauss-Legendre panels graded toward the integrand's peak, as an
-    independent check; the two agree to about 1e-15 relative.
+def elliptic_K(m: float) -> float:
+    """Complete elliptic integral of the first kind, parameter form:
+    K(m) = integral_0^{pi/2} (1 - m sin^2 theta)^(-1/2) dtheta for m < 1,
+    by the AGM iteration K(m) = pi / (2 AGM(1, sqrt(1 - m))).
     """
     if m >= 1.0:
         raise DomainError(f"elliptic_K requires m < 1, got {m}")
-    if method == "quadrature":
-        return _elliptic_k_quadrature(m)
-    if method != "agm":
-        raise ValueError(f"unknown method {method!r}")
     return _elliptic_k_agm(m)
 
 

@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonFinite, NonRegular, SolveFailure, TooFewSnapshots
-from .geometry import (CurveFields, DiscreteCurve, _solve_banded, curve_fields, length,
-                       resample_uniform, segment_lengths)
+from .geometry import (CurveFields, DiscreteCurve, _require_regular, _solve_banded,
+                       curve_fields, resample_uniform, segment_lengths)
 from .monitor import MonitorSeries, _row, _series
 
 CURVE_DIFFUSION = "curve_diffusion"
@@ -177,7 +177,8 @@ def _auto_step(h: float, scheme: str) -> float:
 
 def auto_dt(curve: DiscreteCurve, scheme: str) -> float:
     """Automatic step for the current mean arc spacing."""
-    return _auto_step(length(curve) / segment_lengths(curve).size, scheme)
+    seg = _require_regular(segment_lengths(curve))
+    return _auto_step(float(seg.sum()) / seg.size, scheme)
 
 
 def step(curve: DiscreteCurve, dt: float, spec: FlowSpec) -> DiscreteCurve:

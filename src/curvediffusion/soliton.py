@@ -39,8 +39,8 @@ fitted constants are mapped back exactly (k1 by L^-1, k2 by L^-2, V by
 L^-3, K and S by L^-4). Without it the squares of kappa_ss overflow or
 underflow far from unit size, and the shrinker's condition number mixes
 the length <gamma, nu> with the unitless nu. The tests cover similarities
-with scale factors from 1e-60 to 1e60; a constant the double range cannot
-hold (K of a curve of length 1e-100) makes its fit unavailable. The
+with scale factors from 1e-60 to 1e60; a constant outside the normal double
+range (K of a curve of length 1e-100 or 1e100) makes its fit unavailable. The
 shrinker, translator and rotator normal equations are blocks of one
 weighted Gram matrix X^T diag(dl) X of the columns [kappa_ss, <gamma, nu>,
 nu_x, nu_y, 2 <tangent, gamma>], their condition numbers come from the
@@ -53,6 +53,7 @@ solitons, whose residuals are near 1e-13.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,11 +141,11 @@ def _normal_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
 class _Fits:
     """The four fits of one curve, made on its copy scaled by 2**-e, where
     2**e is its length rounded up to a power of two (see the module
-    docstring). A fitted constant that the double range cannot hold in
-    the curve's units raises NonFinite."""
+    docstring). A fitted constant outside the normal double range in the
+    curve's units raises NonFinite."""
 
-    def __init__(self, curve: DiscreteCurve, fields: CurveFields | None = None) -> None:
-        fields = curve_fields(curve) if fields is None else fields
+    def __init__(self, curve: DiscreteCurve) -> None:
+        fields = curve_fields(curve)
         self.e = e = math.frexp(fields.length)[1]
         self.closed = curve.closed
         self.fields = CurveFields(
@@ -155,11 +156,14 @@ class _Fits:
 
     def _in_units(self, value: float, power: int) -> float:
         """A constant of unit length**-power fitted on the copy, in the curve's units."""
-        try:
-            return math.ldexp(float(value), -power * self.e)
-        except OverflowError:
-            raise NonFinite(f"the fitted constant {float(value)!r} * 2**{-power * self.e} "
-                            "overflows at this scale") from None
+        value, exp = float(value), -power * self.e
+        # frexp's exponent of the result; outside this range a nonzero value
+        # overflows, or comes back 0.0 or subnormal with its digits lost.
+        top = math.frexp(value)[1] + exp
+        if value != 0.0 and not sys.float_info.min_exp <= top <= sys.float_info.max_exp:
+            bound = "overflows" if top > sys.float_info.max_exp else "underflows"
+            raise NonFinite(f"the fitted constant {value!r} * 2**{exp} {bound} at this scale")
+        return math.ldexp(value, exp)
 
     @cached_property
     def _rows(self) -> np.ndarray:
@@ -226,7 +230,7 @@ class _Fits:
         return RotatorFit(S=self._in_units(s_hat, 4), residual=self._residual(defect))
 
 
-def fit_stationary(curve: DiscreteCurve, fields: CurveFields | None = None) -> StationaryFit:
+def fit_stationary(curve: DiscreteCurve) -> StationaryFit:
     """Weighted linear regression of kappa against arc length.
 
     The slope is k2; the intercept k1 is reported at the arc-length
@@ -236,10 +240,10 @@ def fit_stationary(curve: DiscreteCurve, fields: CurveFields | None = None) -> S
     result does not depend on node 0 or the direction. The residual is
     normalized by ||kappa||.
     """
-    return _Fits(curve, fields).stationary()
+    return _Fits(curve).stationary()
 
 
-def fit_shrinker(curve: DiscreteCurve, fields: CurveFields | None = None) -> ShrinkerFit:
+def fit_shrinker(curve: DiscreteCurve) -> ShrinkerFit:
     """Least-squares K in kappa_ss + K <gamma, nu> = 0 (translations quotiented).
 
     K < 0 is the shrinking case with extinction time T = -rho^4 / (4 K);
@@ -247,10 +251,10 @@ def fit_shrinker(curve: DiscreteCurve, fields: CurveFields | None = None) -> Shr
     identically zero in the weighted sense (straight line through the
     origin), where K is meaningless.
     """
-    return _Fits(curve, fields).shrinker()
+    return _Fits(curve).shrinker()
 
 
-def fit_translator(curve: DiscreteCurve, fields: CurveFields | None = None) -> TranslatorFit:
+def fit_translator(curve: DiscreteCurve) -> TranslatorFit:
     """Least-squares V in kappa_ss + <V, nu> = 0.
 
     When the 2x2 normal-equation matrix is near-singular (all normals
@@ -259,10 +263,10 @@ def fit_translator(curve: DiscreteCurve, fields: CurveFields | None = None) -> T
     larger eigenvalue, is returned with the constrained flag set instead
     of raising.
     """
-    return _Fits(curve, fields).translator()
+    return _Fits(curve).translator()
 
 
-def fit_rotator(curve: DiscreteCurve, fields: CurveFields | None = None) -> RotatorFit:
+def fit_rotator(curve: DiscreteCurve) -> RotatorFit:
     """Least-squares S in kappa_ss + 2 S <tangent, gamma> = 0.
 
     <tangent, gamma> is half the arc-length derivative of |gamma|^2, so it
@@ -270,7 +274,7 @@ def fit_rotator(curve: DiscreteCurve, fields: CurveFields | None = None) -> Rota
     S = None (Indeterminate) with the residual evaluated at S = 0. That is
     a reported state, not an error.
     """
-    return _Fits(curve, fields).rotator()
+    return _Fits(curve).rotator()
 
 
 def classify(curve: DiscreteCurve, tol: float = DEFAULT_TOL) -> SolitonReport:

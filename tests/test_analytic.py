@@ -8,6 +8,7 @@ import pytest
 import scipy.special as sps
 
 import curvediffusion as cd
+from curvediffusion.analytic import _elliptic_k_agm, _elliptic_k_quadrature
 
 K_MINUS_ONE = 1.31102877714605987
 
@@ -26,21 +27,21 @@ def test_elliptic_k_minus_one():
 
 def test_elliptic_k_dual_route():
     for m in (-1.0, 0.5):
-        agm = cd.elliptic_K(m, method="agm")
-        quad = cd.elliptic_K(m, method="quadrature")
+        agm = cd.elliptic_K(m)
+        quad = _elliptic_k_quadrature(m)
         assert abs(agm - quad) < 1e-10
 
 
 def test_elliptic_k_matches_scipy():
     for m in [-1e8, -1e6, -100.0, *np.linspace(-5.0, 0.95, 25)]:
-        for method in ("agm", "quadrature"):
-            assert cd.elliptic_K(m, method=method) == pytest.approx(sps.ellipk(m), abs=1e-12)
+        for route in (_elliptic_k_agm, _elliptic_k_quadrature):
+            assert route(m) == pytest.approx(sps.ellipk(m), abs=1e-12)
 
 
 def test_elliptic_k_auto_is_agm():
-    # The quadrature route stays an independent check: the default never uses it.
+    # The quadrature route stays an independent check: elliptic_K never uses it.
     for m in [-1e6, -5.0, -1.0, -0.3, 0.0, 0.5, 0.99]:
-        assert cd.elliptic_K(m) == cd.elliptic_K(m, method="agm")
+        assert cd.elliptic_K(m) == _elliptic_k_agm(m)
 
 
 @pytest.mark.parametrize("m", [0.9999, 0.999999])
@@ -48,7 +49,7 @@ def test_elliptic_k_quadrature_near_one(m):
     # Close to the log singularity at m = 1 the quadrature route may refuse,
     # but it must never return a value that is silently off.
     try:
-        value = cd.elliptic_K(m, method="quadrature")
+        value = _elliptic_k_quadrature(m)
     except cd.QuadratureFailure:
         return
     assert value == pytest.approx(sps.ellipk(m), rel=1e-12)
@@ -64,13 +65,6 @@ def test_elliptic_k_strictly_increasing():
 def test_elliptic_k_domain(m):
     with pytest.raises(cd.DomainError):
         cd.elliptic_K(m)
-
-
-def test_elliptic_k_bad_method():
-    with pytest.raises(ValueError):
-        cd.elliptic_K(0.5, method="series")
-    with pytest.raises(ValueError):
-        cd.elliptic_K(0.5, method="auto")  # the default is spelled "agm" only
 
 
 # ---------------------------------------------------------------------------

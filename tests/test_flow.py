@@ -469,7 +469,7 @@ def test_evolve_computes_fields_once_per_state(monkeypatch, redistribute_every):
         raise AssertionError("evolve re-derives geometry it already has")
 
     monkeypatch.setattr(flow, "curve_fields", counted)
-    monkeypatch.setattr(flow, "length", unexpected)
+    monkeypatch.setattr(flow, "segment_lengths", unexpected)
     monkeypatch.setattr(flow, "auto_dt", unexpected)
     spec = cd.FlowSpec(t_end=1e-2, redistribute_every=redistribute_every)
     traj = cd.evolve(cd.sample_analytic(cd.Lemniscate(), 128), spec)

@@ -226,6 +226,20 @@ def test_circle_kappa_convergence():
     assert np.all((orders > 1.7) & (orders < 2.3))
 
 
+def test_clothoid_kappa_ss_orders_inside_and_at_open_ends():
+    # The exact kappa_ss is 0. The one-sided stencils make the three end rows
+    # at each end first order, the rest stay second order; the bounds are
+    # lower bounds only, so a better end closure still passes.
+    spec = cd.FresnelFamily(c1=0.0, c2=np.pi / 2.0, s_min=-1.0, s_max=1.0)
+    inner, ends = [], []
+    for n in (128, 256, 512, 1024):
+        kss = np.abs(cd.curve_fields(cd.sample_analytic(spec, n)).kappa_ss)
+        inner.append(np.max(kss[3:-3]))
+        ends.append(max(np.max(kss[:3]), np.max(kss[-3:])))
+    assert np.all(_order(inner) >= 1.9), inner
+    assert np.all(_order(ends) >= 0.9), ends
+
+
 def test_fields_rigid_motion_invariance(lemniscate_512):
     f0 = cd.curve_fields(lemniscate_512)
     f1 = cd.curve_fields(moved(lemniscate_512, angle=0.9, shift=(3.0, -2.0)))

@@ -626,6 +626,15 @@ def test_cli_check_writes_json(tmp_path, capsys, circle_512):
     assert json.loads(stdout)["verdict"] == "stationary"
 
 
+def test_cli_check_underflowing_constant_exits_1(tmp_path, capsys, fixture_dir):
+    lem = curve_io.read_curve_csv(fixture_dir / "lemniscate_256.csv")
+    path = tmp_path / "lem_big.csv"
+    curve_io.write_curve_csv(cd.DiscreteCurve(lem.nodes * 1e100, lem.closed), path)
+    rc, report = _run_check(path, capsys)
+    assert rc == 1
+    assert "underflows at this scale" in report["shrinker"]["unavailable"]
+
+
 def test_cli_check_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n0,0\n1,0\n", encoding="utf-8")

@@ -370,6 +370,26 @@ def test_classify_constant_out_of_range_is_unavailable():
     assert report.stationary.residual == pytest.approx(1.0)
 
 
+def test_classify_constant_that_underflows_is_unavailable():
+    # At length 1e100, K = -6 L^-4 and S fall below the normal doubles; a K
+    # of -0.0 would otherwise keep the shrinker verdict whatever its sign.
+    crv = moved(_FIXTURE_CURVES["lemniscate_256"], scale=1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cd.classify(crv)
+    assert report.shrinker is None and report.rotator is None
+    assert "underflows at this scale" in report.unavailable["shrinker"]
+    assert report.verdict is None
+
+
+def test_classify_large_circle_keeps_small_curvature():
+    # k1 = 1e-100 is a normal double, and k2 = 0.0 is exact, not underflow.
+    report = cd.classify(moved(_FIXTURE_CURVES["circle_256"], scale=1e100))
+    assert report.verdict == "stationary"
+    assert report.stationary.k1 == pytest.approx(1e-100, rel=1e-3)
+    assert report.stationary.k2 == 0.0
+
+
 def test_fits_unit_length_agrees_bit_for_bit():
     # Scaling by a power of two is exact, and so is the map back.
     crv = _FIXTURE_CURVES["perturbed_ellipse_256"]
