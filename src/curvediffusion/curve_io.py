@@ -4,10 +4,10 @@ All writers are deterministic: identical inputs produce byte-identical
 output. Floats are emitted with 17 significant digits (%.17g, round-trip
 exact for IEEE doubles): each format is one row template filled from a
 whole table at once. A curve's nodes are formatted once, as the rows of
-its CSV; the SVG path is derived from that row text by string
-replacement, and a run directory shares it between a snapshot's two
-files. Every file is written through one UTF-8 writer whose newlines are
-always '\\n'.
+its CSV; the SVG path data is that row text verbatim, drawn under a y
+flip, and a run directory shares it between a snapshot's two files.
+Every file is written through one UTF-8 writer whose newlines are always
+'\\n'.
 
 Curve CSV contract: UTF-8, optional '#' comment lines, a mandatory
 leading comment `# closed=true` or `# closed=false`, a header line `x,y`,
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict
 from itertools import repeat
 from pathlib import Path
@@ -187,30 +188,25 @@ def write_monitors_csv(series: MonitorSeries, path) -> None:
 
 def _svg_text(curve: DiscreteCurve, rows: str) -> str:
     """The SVG document of a curve whose _node_rows are `rows`."""
-    pts = np.column_stack([curve.nodes[:, 0], -curve.nodes[:, 1]])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo = curve.nodes.min(axis=0)
+    hi = curve.nodes.max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
     pad = 0.05 * span if span > 0.0 else 1.0
-    x0, y0 = lo[0] - pad, lo[1] - pad
+    x0, y0 = lo[0] - pad, -hi[1] - pad
     w, h = hi[0] - lo[0] + 2.0 * pad, hi[1] - lo[1] + 2.0 * pad
-
-    # %.17g prints the sign apart from the digits, so toggling the sign of
-    # each y in the row text writes -y; a NaN prints no sign either way.
-    moves = (rows.replace(",-", " ").replace(",", " -").replace(" -nan", " nan")
-             .replace("\n", " L "))
-    path_data = "M " + moves[:-3] + (" Z" if curve.closed else "")
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.17g %.17g %.17g %.17g">\n'
-        '  <path d="%s" fill="none" stroke="black" stroke-width="%.17g"/>\n'
+        '  <path transform="scale(1 -1)" d="M %s%s" fill="none" stroke="black" '
+        'stroke-width="%.17g"/>\n'
         "</svg>\n"
-    ) % (x0, y0, w, h, path_data, 0.004 * max(w, h))
+    ) % (x0, y0, w, h, rows, "Z" if curve.closed else "", 0.004 * max(w, h))
 
 
 def curve_to_svg(curve: DiscreteCurve) -> str:
     """Single-path, stroke-only SVG with the viewBox fitted to the curve's
-    bounding box plus a 5% margin. The y axis is flipped so the plane's
-    orientation matches the usual mathematical convention."""
+    bounding box plus a 5% margin. The path data is the curve CSV's row
+    text, drawn under scale(1 -1) so the plane's orientation matches the
+    usual mathematical convention."""
     return _svg_text(curve, _node_rows(curve))
 
 
@@ -221,10 +217,14 @@ def write_json(obj, path) -> None:
 def write_run_directory(out_dir, config: dict, traj, scale_fit=None,
                         emit_svg: bool = False) -> None:
     """Persist a trajectory: config.json, snapshots/t_<index>.csv (and .svg
-    when requested), monitors.csv, result.json."""
+    when requested), monitors.csv, result.json. Snapshot files of an earlier
+    run into the same directory are deleted first."""
     out = Path(out_dir)
     snap_dir = out / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
+    for stale in snap_dir.glob("t_*"):
+        if re.fullmatch(r"t_[0-9]+\.(csv|svg)", stale.name):
+            stale.unlink()
 
     write_json(config, out / "config.json")
     for i, curve in enumerate(traj.snapshots):

@@ -430,6 +430,30 @@ def test_fit_scale_equals_regression_on_snapshot_lengths():
 
 
 # ---------------------------------------------------------------------------
+# Round-off at open ends
+
+
+def test_open_end_round_off_growth_stays_small():
+    # A 1-ulp move of one input coordinate grows at the free ends of an open
+    # curve: 5.8e-11 here (most at node 511). At N=1024 (419 steps) moving
+    # node 0's x gives 5.6e-10 and node 1023's 4.8e-10, both largest at an
+    # end node; the x of node 512 gives 6.1e-10 and its y is absorbed (0).
+    # ROADMAP item 3's ghost rows grew the N=1024 change to 4e-7; this bound
+    # guards the end rows against such amplification.
+    spec = cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=-1.0, s_max=1.0)
+    curve = cd.sample_analytic(spec, 512)
+    nodes = curve.nodes.copy()
+    nodes[0, 0] = np.nextafter(nodes[0, 0], np.inf)
+    flow_spec = cd.FlowSpec(t_end=4e-4, snapshot_every=2)
+    base = cd.evolve(curve, flow_spec)
+    moved_end = cd.evolve(cd.DiscreteCurve(nodes, closed=False), flow_spec)
+    assert base.n_steps == moved_end.n_steps == 105
+    assert moved_end.termination == flow.TERM_TIME_REACHED
+    gap = np.abs(base.snapshots[-1].nodes - moved_end.snapshots[-1].nodes).max()
+    assert gap <= 1e-9
+
+
+# ---------------------------------------------------------------------------
 # One field record per state
 
 

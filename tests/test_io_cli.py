@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -330,10 +331,23 @@ def test_svg_open_path_has_no_closepath(clothoid_512):
     assert "Z" not in re.search(r'd="([^"]*)"', svg).group(1)
 
 
-def test_svg_flips_y_axis():
-    crv = cd.DiscreteCurve(np.array([[0.0, 0.0], [1.0, 2.0]]), closed=False)
-    svg = curve_io.curve_to_svg(crv)
-    assert "L 1 -2" in svg
+@pytest.mark.parametrize("closed", [True, False])
+def test_svg_path_is_csv_rows_under_y_flip(closed, circle_512, clothoid_512):
+    for curve in (cd.DiscreteCurve(_edge_nodes(), closed=closed),
+                  circle_512 if closed else clothoid_512):
+        with np.errstate(over="ignore", invalid="ignore"):  # the edge viewBox overflows
+            svg = curve_io.curve_to_svg(curve)
+        body = curve_io.curve_to_csv(curve).partition("\nx,y\n")[2]
+        data = "M " + body + ("Z" if closed else "")
+        assert f' d="{data}" ' in svg
+        path = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}path")
+        assert path.get("transform") == "scale(1 -1)"
+        # XML reads each newline of an attribute as a space; SVG takes both
+        # as separators, and every pair after the moveto as a lineto.
+        assert path.get("d") == data.replace("\n", " ")
+        pairs = path.get("d")[2:].removesuffix("Z").split()
+        nodes = np.array([[float(v) for v in pair.split(",")] for pair in pairs])
+        assert nodes.tobytes() == curve.nodes.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +371,12 @@ def _reference_svg(curve) -> str:
     pad = 0.05 * span if span > 0.0 else 1.0
     x0, y0 = lo[0] - pad, lo[1] - pad
     w, h = hi[0] - lo[0] + 2.0 * pad, hi[1] - lo[1] + 2.0 * pad
-    moves = [f"M {_g(pts[0, 0])} {_g(pts[0, 1])}"]
-    moves.extend(f"L {_g(x)} {_g(y)}" for x, y in pts[1:])
-    if curve.closed:
-        moves.append("Z")
+    rows = "".join(f"{_g(x)},{_g(y)}\n" for x, y in curve.nodes)
+    close = "Z" if curve.closed else ""
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_g(x0)} {_g(y0)} {_g(w)} {_g(h)}">\n'
-        f'  <path d="{" ".join(moves)}" fill="none" stroke="black" '
+        f'  <path transform="scale(1 -1)" d="M {rows}{close}" fill="none" stroke="black" '
         f'stroke-width="{_g(0.004 * max(w, h))}"/>\n'
         "</svg>\n"
     )
@@ -404,8 +416,9 @@ def test_curve_writers_match_reference(closed):
 
 @pytest.mark.parametrize("closed", [True, False])
 def test_svg_matches_reference_on_non_finite_nodes(closed):
-    # Python prints a NaN without its sign, so the flipped y of a NaN node
-    # must read 'nan' whatever the sign bit, and -(±inf) must read ∓inf.
+    # The path carries each coordinate as the CSV row prints it ('nan' for a
+    # NaN whatever its sign bit), and the viewBox, taken from the unflipped
+    # nodes, must equal the reference's box of the y-negated points.
     nan, inf = float("nan"), float("inf")
     nodes = _edge_nodes()
     nodes[12:20] = [[nan, 1.0], [2.0, nan], [-3.0, np.copysign(nan, -1.0)],
@@ -725,6 +738,29 @@ def test_cli_evolve_run_directory(tmp_path, capsys):
     monitor_rows = (run / "monitors.csv").read_text().splitlines()
     assert monitor_rows[0] == "t,L,A,I,Q,diss"
     assert len(monitor_rows) - 1 == result["n_snapshots"]
+
+
+def test_cli_evolve_rerun_leaves_no_stale_snapshots(tmp_path):
+    config = _evolve_config(tmp_path, t_end=4e-3, snapshot_every=1)
+    config["input"]["nodes"] = 128
+    config["emit_svg"] = True
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["evolve", str(cfg_path)]) == 0
+    snap_dir = tmp_path / "run" / "snapshots"
+    assert len(list(snap_dir.glob("t_*.svg"))) == 11
+    # Only the writer's own names are deleted.
+    for name in ("t_x.csv", "t_1.svg.bak", "notes.svg"):
+        (snap_dir / name).write_text("kept", encoding="utf-8")
+
+    config["flow"]["t_end"] = 1e-3
+    config["emit_svg"] = False
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["evolve", str(cfg_path)]) == 0
+    result = json.loads((tmp_path / "run" / "result.json").read_text())
+    assert result["n_snapshots"] == 4
+    assert sorted(p.name for p in snap_dir.iterdir()) == [
+        "notes.svg", "t_0.csv", "t_1.csv", "t_1.svg.bak", "t_2.csv", "t_3.csv", "t_x.csv"]
 
 
 def test_cli_evolve_non_regular_is_recorded(tmp_path, monkeypatch):
