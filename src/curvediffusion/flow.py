@@ -23,9 +23,16 @@ Two schemes:
     pair) when closed and pentadiagonal (banded Cholesky) when open; a step
     never amplifies, so dt ~ h^2 works given near-uniform spacing.
 
+The automatic step (dt = None) of the semi-implicit scheme on a closed
+curve is error-controlled: each step is a pair of half steps extrapolated
+against one full step (Richardson, 2 x_half - x_full), which is second
+order, and their difference estimates the local error that sets the next
+dt. Every other automatic step follows the mesh (h^2/4 or h^4/10).
+
 Stopping is by first trigger among: time horizon reached, length below a
-floor, minimum node spacing below a floor, or a numerical failure
-(non-finite state, singular solve, degenerate segment). Every stop,
+floor, minimum node spacing below a floor, a controlled dt shrunk below its
+floor without meeting the tolerance, or a numerical failure (non-finite
+state, singular solve, degenerate segment). Every stop,
 non_regular included, is a recorded termination reason, never a crash:
 a state is kept only once its geometry record exists, so the last
 snapshot is always a regular curve.
@@ -57,6 +64,7 @@ TERM_MIN_SPACING_BELOW = "min_spacing_below"
 TERM_NON_FINITE = "non_finite"
 TERM_SOLVE_FAILURE = "solve_failure"
 TERM_NON_REGULAR = "non_regular"
+TERM_ACCURACY_NOT_MET = "accuracy_not_met"
 _FAILURE_TERMS = {NonFinite: TERM_NON_FINITE, SolveFailure: TERM_SOLVE_FAILURE,
                   NonRegular: TERM_NON_REGULAR}
 
@@ -64,6 +72,11 @@ _FAILURE_TERMS = {NonFinite: TERM_NON_FINITE, SolveFailure: TERM_SOLVE_FAILURE,
 # fourth-difference symbol (explicit), and an h^2 step for the IMEX scheme.
 EXPLICIT_DT_FACTOR = 0.1
 SEMI_IMPLICIT_DT_FACTOR = 0.25
+# Controlled steps: accepted when the local error estimate, relative to the
+# length, is at most AUTO_RTOL; the run stops once dt falls below
+# AUTO_DT_FLOOR times the first step.
+AUTO_RTOL = 1e-5
+AUTO_DT_FLOOR = 1e-6
 # User-supplied explicit steps must satisfy dt * (N/L)^4 <= this.
 EXPLICIT_ENVELOPE = 0.125
 
@@ -72,8 +85,10 @@ EXPLICIT_ENVELOPE = 0.125
 class FlowSpec:
     """Flow kind plus stepper policy.
 
-    dt = None selects the automatic step (h^4/10 explicit, h^2/4
-    semi-implicit, recomputed after each redistribution).
+    dt = None selects the automatic step: error-controlled from a first
+    h^2/4 for the semi-implicit scheme on a closed curve (see AUTO_RTOL);
+    otherwise h^4/10 explicit or h^2/4 semi-implicit, recomputed after each
+    redistribution.
     redistribute_every = 0 disables redistribution entirely (including the
     initial pass). length_min / min_spacing = None disable those stops.
     """
@@ -111,8 +126,8 @@ class Trajectory:
     """Time-stamped sequence of curves with monitors and a stop reason.
 
     termination_detail is set on a failure stop (non_finite, solve_failure,
-    non_regular) only: the error's message with the step count and t of the
-    last kept state, which are n_steps and times[-1].
+    non_regular, accuracy_not_met) only: what went wrong with the step count
+    and t of the last kept state, which are n_steps and times[-1].
     """
 
     times: np.ndarray
@@ -210,8 +225,23 @@ def _advance(curve: DiscreteCurve, fields: CurveFields, dt: float,
         new_nodes = curve.nodes + incr
 
     if not np.all(np.isfinite(new_nodes)):
-        raise NonFinite("non-finite coordinates after a time step")
+        node = int(np.argmin(np.isfinite(new_nodes).all(axis=1)))
+        x, y = new_nodes[node]
+        raise NonFinite(f"non-finite coordinates after a time step: node {node} "
+                        f"at ({float(x)!r}, {float(y)!r})")
     return DiscreteCurve(new_nodes, curve.closed)
+
+
+def _extrapolated_step(curve: DiscreteCurve, fields: CurveFields, dt: float,
+                       spec: FlowSpec) -> tuple[DiscreteCurve, float]:
+    """One Richardson-extrapolated step, 2 x_half - x_full, of size dt, and
+    its local error estimate max_i |x_half,i - x_full,i| / L."""
+    full = _advance(curve, fields, dt, spec)
+    half = _advance(curve, fields, 0.5 * dt, spec)
+    half = _advance(half, curve_fields(half), 0.5 * dt, spec)
+    diff = half.nodes - full.nodes
+    err = float(np.hypot(diff[:, 0], diff[:, 1]).max()) / fields.length
+    return DiscreteCurve(half.nodes + diff, curve.closed), err
 
 
 def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
@@ -224,7 +254,8 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
     correctness requirement, not a cosmetic one. Each state held (initial,
     post-step, redistributed) gets one curve_fields record, which feeds
     the next step, the automatic dt, the stop rules and the monitor row
-    of a snapshot.
+    of a snapshot. A rejected controlled attempt keeps no state and is not
+    a step: the redistribution and snapshot cadences count accepted steps.
     """
     state = curve
     if spec.redistribute_every > 0:
@@ -245,6 +276,8 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
     rows = [_row(state, fields)]
     h = fields.length / fields.seg.size
     dt = spec.dt if spec.dt is not None else _auto_step(h, spec.scheme)
+    controlled = spec.dt is None and spec.scheme == SEMI_IMPLICIT and state.closed
+    dt_floor = AUTO_DT_FLOOR * dt
     t = 0.0
     steps = 0
     termination = TERM_TIME_REACHED
@@ -261,7 +294,20 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
         dt_step = min(dt, spec.t_end - t)
         try:
             # A state is kept only once its record exists; a degenerate one never is.
-            new = _advance(state, fields, dt_step, spec)
+            if controlled:
+                new, err = _extrapolated_step(state, fields, dt_step, spec)
+                factor = 0.9 * (AUTO_RTOL / err) ** 0.5 if err > 0.0 else 4.0
+                dt = dt_step * min(max(factor, 0.2), 4.0)
+                if err > AUTO_RTOL:
+                    if dt < dt_floor:
+                        termination = TERM_ACCURACY_NOT_MET
+                        detail = (f"step size {dt!r} fell below the floor {dt_floor!r} "
+                                  f"with error estimate {err!r} > {AUTO_RTOL!r} (last kept "
+                                  f"state: step {steps}, t = {float(t)!r})")
+                        break
+                    continue
+            else:
+                new = _advance(state, fields, dt_step, spec)
             state, fields = new, curve_fields(new)
             t += dt_step
             steps += 1
@@ -278,7 +324,7 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
             ):
                 new = resample_uniform(state, state.n)
                 state, fields = new, curve_fields(new)
-                if spec.dt is None:
+                if spec.dt is None and not controlled:
                     dt = _auto_step(fields.length / fields.seg.size, spec.scheme)
         except tuple(_FAILURE_TERMS) as exc:
             termination = _FAILURE_TERMS[type(exc)]

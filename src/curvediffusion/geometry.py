@@ -242,7 +242,8 @@ def curve_fields(curve: DiscreteCurve) -> CurveFields:
         If the curve has fewer than 8 nodes (the chained three-point
         stencils for kappa_ss need that much support).
     NonRegular
-        If any segment is degenerate or a node is not finite.
+        If any segment is degenerate, a node is not finite, or the parameter
+        speed vanishes at a node (a fold-back, e.g. coinciding neighbours).
     """
     if curve.n < MIN_NODES_FIELDS:
         raise TooFewNodes(
@@ -255,6 +256,10 @@ def curve_fields(curve: DiscreteCurve) -> CurveFields:
 
     g_u, g_uu = _d_du(f, closed, second=True)
     speed = np.hypot(g_u[:, 0], g_u[:, 1])
+    if not speed.min() > 0.0:
+        node = int(np.argmin(speed))
+        raise NonRegular(f"parameter speed {speed[node]:.3e} at node {node} is not "
+                         "positive: the curve folds back on itself there")
 
     tangent = g_u / speed[:, None]
     normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])

@@ -64,9 +64,12 @@ def perturbed_ellipse() -> cd.DiscreteCurve:
     return cd.read_curve_csv(FIXTURE_DIR / "perturbed_ellipse_256.csv")
 
 
-def repeat_node_on_step(monkeypatch, flow_module, step_number: int) -> None:
-    """Make step `step_number` of flow._advance return its curve with node 1
-    moved onto node 0: a repeated node, i.e. a non-regular state."""
+def repeat_node_on_step(monkeypatch, flow_module, step_number: int, onto: int = 0) -> None:
+    """Make call `step_number` of flow._advance return its curve with node 1
+    moved onto node `onto`: onto=0 repeats a node (a degenerate segment),
+    onto=-1 makes node 0's neighbours coincide (a fold-back). A run with a
+    fixed dt makes one call per step; a controlled step makes three, the
+    full step first."""
     real = flow_module._advance
     calls = []
 
@@ -76,7 +79,7 @@ def repeat_node_on_step(monkeypatch, flow_module, step_number: int) -> None:
         if len(calls) != step_number:
             return new
         nodes = new.nodes.copy()
-        nodes[1] = nodes[0]
+        nodes[1] = nodes[onto]
         return cd.DiscreteCurve(nodes, new.closed)
 
     monkeypatch.setattr(flow_module, "_advance", faulty)

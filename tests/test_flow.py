@@ -1,6 +1,8 @@
 """Time stepping: schemes, stability envelope, stops, and scale fits."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,14 +259,16 @@ def test_evolve_reports_non_finite(lemniscate_512, monkeypatch):
     assert traj.termination == flow.TERM_NON_FINITE
     assert traj.n_steps == 0
     assert traj.termination_detail == (
-        "non-finite coordinates after a time step (last kept state: step 0, t = 0.0)")
+        "non-finite coordinates after a time step: node 0 at (-inf, nan) "
+        "(last kept state: step 0, t = 0.0)")
 
 
 def test_evolve_reports_non_regular(lemniscate_512, monkeypatch):
     # The degenerate state from step 3 is never kept: the run ends with the
-    # state after step 2, and every snapshot has a field record.
+    # state after step 2, and every snapshot has a field record. A fixed dt
+    # makes one _advance call per step.
     repeat_node_on_step(monkeypatch, flow, 3)
-    traj = cd.evolve(lemniscate_512, cd.FlowSpec(t_end=1e-3, snapshot_every=1))
+    traj = cd.evolve(lemniscate_512, cd.FlowSpec(dt=5e-5, t_end=1e-3, snapshot_every=1))
     assert traj.termination == flow.TERM_NON_REGULAR
     assert traj.n_steps == 2
     assert len(traj.snapshots) == len(traj.times) == 3
@@ -275,6 +279,18 @@ def test_evolve_reports_non_regular(lemniscate_512, monkeypatch):
         f" (last kept state: step 2, t = {float(traj.times[-1])!r})")
     for snap in traj.snapshots:
         cd.curve_fields(snap)
+
+
+def test_evolve_reports_fold_back_in_a_controlled_step(lemniscate_512, monkeypatch):
+    # Call 5 is the first half step of step 2: the half state folds back at
+    # node 0, its field record fails, and the state after step 1 is the last.
+    repeat_node_on_step(monkeypatch, flow, 5, onto=-1)
+    traj = cd.evolve(lemniscate_512, cd.FlowSpec(t_end=1e-3, snapshot_every=1))
+    assert traj.termination == flow.TERM_NON_REGULAR
+    assert traj.n_steps == 1
+    assert traj.termination_detail == (
+        "parameter speed 0.000e+00 at node 0 is not positive: the curve folds back "
+        f"on itself there (last kept state: step 1, t = {float(traj.times[-1])!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +406,91 @@ def test_elastic_circle_expands(circle_512):
 
 
 # ---------------------------------------------------------------------------
+# Error-controlled automatic steps
+
+
+def test_extrapolated_step_is_second_order():
+    # Self-convergence at fixed dt against a 1600-step reference, without
+    # redistribution: orders 1.72 and 1.84 here, 0.93 and 0.96 for Euler.
+    start = cd.resample_uniform(cd.sample_analytic(cd.Lemniscate(), 256), 256)
+    spec = cd.FlowSpec(redistribute_every=0)
+    t_end = 2e-3
+
+    def run(n_steps, extrapolate):
+        state = start
+        for _ in range(n_steps):
+            fields = cd.curve_fields(state)
+            if extrapolate:
+                state = flow._extrapolated_step(state, fields, t_end / n_steps, spec)[0]
+            else:
+                state = flow._advance(state, fields, t_end / n_steps, spec)
+        return state.nodes
+
+    reference = run(1600, True)
+    for extrapolate, lo, hi in ((True, 1.8, 2.2), (False, 0.8, 1.2)):
+        errors = [np.abs(run(n, extrapolate) - reference).max() for n in (50, 100, 200)]
+        assert errors[0] > errors[1] > errors[2]
+        assert lo <= np.log2(errors[1] / errors[2]) <= hi
+
+
+def test_controlled_lemniscate_length_near_extinction():
+    # t = 0.04 is 96 % of the lifespan 1/24: the h^2/4 step was 11.1 % off
+    # the exact length here, the controlled step is 0.30 % off.
+    traj = cd.evolve(cd.sample_analytic(cd.Lemniscate(), 256), cd.FlowSpec(t_end=0.04))
+    assert traj.termination == flow.TERM_TIME_REACHED
+    assert traj.times[-1] == pytest.approx(0.04, rel=1e-12)
+    # The lemniscate shrinks with L(t)^4 = L(0)^4 (1 - 24 t).
+    lengths = traj.monitors.L
+    assert abs(lengths[-1] / (lengths[0] * (1.0 - 24.0 * 0.04) ** 0.25) - 1.0) < 0.01
+
+
+def test_controlled_step_below_floor_stops(lemniscate_512, monkeypatch):
+    # No error estimate meets a zero tolerance: dt shrinks 5-fold per rejected
+    # attempt until it is below the floor, and no state is kept.
+    monkeypatch.setattr(flow, "AUTO_RTOL", 0.0)
+    traj = cd.evolve(lemniscate_512, cd.FlowSpec(t_end=1e-3))
+    assert traj.termination == flow.TERM_ACCURACY_NOT_MET
+    assert traj.n_steps == 0
+    assert len(traj.snapshots) == 1
+    match = re.fullmatch(
+        r"step size (\S+) fell below the floor (\S+) with error estimate (\S+) > 0\.0 "
+        r"\(last kept state: step 0, t = 0\.0\)", traj.termination_detail)
+    assert match is not None, traj.termination_detail
+    dt, floor, err = map(float, match.groups())
+    first_dt = flow.auto_dt(traj.snapshots[0], cd.SEMI_IMPLICIT)
+    assert floor == pytest.approx(flow.AUTO_DT_FLOOR * first_dt, rel=1e-12)
+    assert dt == pytest.approx(0.2**9 * first_dt, rel=1e-12)
+    assert err > 0.0
+
+
+@pytest.mark.parametrize("curve, spec", [
+    (cd.sample_analytic(cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=-1.0, s_max=1.0), 128),
+     cd.FlowSpec(t_end=1e-4)),
+    (ellipse_curve(64), cd.FlowSpec(scheme=cd.EXPLICIT, t_end=1e-5)),
+    (ellipse_curve(64), cd.FlowSpec(dt=1e-4, t_end=1e-3)),
+], ids=["open", "explicit", "fixed_dt"])
+def test_uncontrolled_runs_take_plain_steps(monkeypatch, curve, spec):
+    def unexpected(*args):
+        raise AssertionError("only automatic closed semi-implicit steps are controlled")
+
+    monkeypatch.setattr(flow, "_extrapolated_step", unexpected)
+    assert cd.evolve(curve, spec).termination == flow.TERM_TIME_REACHED
+
+
+# ---------------------------------------------------------------------------
 # Scale profile fits
 
 
 def test_fit_scale_circle_is_static():
+    # The controlled step grows 4-fold a step on the static circle and
+    # reaches t_end in 4 steps, so every state is a snapshot there.
     crv = cd.sample_analytic(cd.Circle(1.0), 256)
-    traj = cd.evolve(crv, cd.FlowSpec(t_end=0.005, snapshot_every=5))
-    fit = cd.fit_scale_profile(traj)
-    assert abs(fit.K) < 1e-6
-    assert fit.rho == pytest.approx(1.0, abs=1e-9)
+    for dt, snapshot_every in ((None, 1), (1.5e-4, 5)):
+        traj = cd.evolve(crv, cd.FlowSpec(dt=dt, t_end=0.005, snapshot_every=snapshot_every))
+        assert len(traj.snapshots) >= 5
+        fit = cd.fit_scale_profile(traj)
+        assert abs(fit.K) < 1e-6
+        assert fit.rho == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fit_scale_scaled_lemniscate():
@@ -492,13 +584,27 @@ def test_evolve_computes_fields_once_per_state(monkeypatch, redistribute_every):
     def unexpected(*args):
         raise AssertionError("evolve re-derives geometry it already has")
 
+    attempts = []
+    real_attempt = flow._extrapolated_step
+
+    def counted_attempt(*args):
+        attempts.append(None)
+        return real_attempt(*args)
+
     monkeypatch.setattr(flow, "curve_fields", counted)
+    monkeypatch.setattr(flow, "_extrapolated_step", counted_attempt)
     monkeypatch.setattr(flow, "segment_lengths", unexpected)
     monkeypatch.setattr(flow, "auto_dt", unexpected)
-    spec = cd.FlowSpec(t_end=1e-2, redistribute_every=redistribute_every)
-    traj = cd.evolve(cd.sample_analytic(cd.Lemniscate(), 128), spec)
-    assert traj.termination == flow.TERM_TIME_REACHED
-    assert traj.n_steps > 2 * spec.redistribute_every
-    # Redistribution follows every redistribute_every-th step except the last.
-    redistributions = (traj.n_steps - 1) // redistribute_every if redistribute_every else 0
-    assert len(calls) == 1 + traj.n_steps + redistributions
+    # The controlled step also holds its first half-step state, one more
+    # record per attempt; a fixed dt makes no attempts.
+    for dt in (None, 2e-4):
+        calls.clear()
+        attempts.clear()
+        spec = cd.FlowSpec(dt=dt, t_end=1e-2, redistribute_every=redistribute_every)
+        traj = cd.evolve(cd.sample_analytic(cd.Lemniscate(), 128), spec)
+        assert traj.termination == flow.TERM_TIME_REACHED
+        assert traj.n_steps > 2 * spec.redistribute_every
+        assert len(attempts) >= traj.n_steps if dt is None else not attempts
+        # Redistribution follows every redistribute_every-th step except the last.
+        redistributions = (traj.n_steps - 1) // redistribute_every if redistribute_every else 0
+        assert len(calls) == 1 + len(attempts) + traj.n_steps + redistributions

@@ -45,6 +45,17 @@ def test_repeated_node_rejected():
 
 
 @pytest.mark.parametrize("closed", [True, False])
+def test_fold_back_is_non_regular(closed):
+    # Every chord is regular, but a node whose neighbours coincide has zero
+    # parameter speed: the zigzag folds back at each node.
+    zigzag = cd.DiscreteCurve(np.array([[0.0, 1.0], [0.0, 0.0]] * 4), closed=closed)
+    cd.length(zigzag)
+    with pytest.raises(cd.NonRegular, match=r"^parameter speed 0\.000e\+00 at node "
+                       f"{0 if closed else 1} is not positive"):
+        cd.curve_fields(zigzag)
+
+
+@pytest.mark.parametrize("closed", [True, False])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_node_is_non_regular(bad, closed):
     # A NaN segment compares False against the regularity floor, so it must

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvediffusion as cd
@@ -655,6 +655,17 @@ def test_cli_check_malformed_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_check_fold_back_exits_2(tmp_path):
+    # The zigzag passes the chord check; the fields name the node where it
+    # folds back instead of dividing by its zero parameter speed.
+    path = tmp_path / "zigzag.csv"
+    path.write_text("# closed=true\nx,y\n" + "0,1\n0.0,0.0\n" * 4, encoding="utf-8")
+    code, err = _run_cli(["check", str(path)])
+    assert code == 2
+    assert err == ("error: parameter speed 0.000e+00 at node 0 is not positive: "
+                   "the curve folds back on itself there\n")
+
+
 def test_cli_check_accepts_byte_order_mark(tmp_path, capsys, fixture_dir):
     # A CRLF file that starts with a UTF-8 BOM and has comments and blank
     # lines between its rows gives the same report as the plain fixture.
@@ -741,7 +752,8 @@ def test_cli_evolve_run_directory(tmp_path, capsys):
 
 
 def test_cli_evolve_rerun_leaves_no_stale_snapshots(tmp_path):
-    config = _evolve_config(tmp_path, t_end=4e-3, snapshot_every=1)
+    # A fixed dt: 10 steps, then 3.
+    config = _evolve_config(tmp_path, t_end=4e-3, snapshot_every=1, dt=4e-4)
     config["input"]["nodes"] = 128
     config["emit_svg"] = True
     cfg_path = tmp_path / "config.json"
@@ -764,8 +776,9 @@ def test_cli_evolve_rerun_leaves_no_stale_snapshots(tmp_path):
 
 
 def test_cli_evolve_non_regular_is_recorded(tmp_path, monkeypatch):
+    # A fixed dt makes one _advance call per step.
     repeat_node_on_step(monkeypatch, flow, 3)
-    config = _evolve_config(tmp_path, t_end=1e-3, snapshot_every=1)
+    config = _evolve_config(tmp_path, t_end=1e-3, snapshot_every=1, dt=1e-4)
     config["input"]["nodes"] = 128
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -1059,6 +1072,8 @@ _CSV_TEXT = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(text=_CSV_TEXT)
+# A zigzag: every chord is regular, but each node's neighbours coincide.
+@example(text="# closed=true\nx,y\n" + "0,1\n0.0,0.0\n" * 4)
 def test_cli_check_fuzz_text(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "curve.csv"
     path.write_text(text, encoding="utf-8")
