@@ -24,10 +24,11 @@ Two schemes:
     never amplifies, so dt ~ h^2 works given near-uniform spacing.
 
 The automatic step (dt = None) of the semi-implicit scheme on a closed
-curve is error-controlled: each step is a pair of half steps extrapolated
-against one full step (Richardson, 2 x_half - x_full), which is second
-order, and their difference estimates the local error that sets the next
-dt. Every other automatic step follows the mesh (h^2/4 or h^4/10).
+curve is error-controlled: each step extrapolates 1, 2 and 3 IMEX Euler
+substeps in an Aitken-Neville table (linearly implicit Euler extrapolation,
+Deuflhard 1985), which is third order, and the gap between the table's two
+second-order entries estimates the local error that sets the next dt.
+Every other automatic step follows the mesh (h^2/4 or h^4/10).
 
 Stopping is by first trigger among: time horizon reached, length below a
 floor, minimum node spacing below a floor, a controlled dt shrunk below its
@@ -234,14 +235,25 @@ def _advance(curve: DiscreteCurve, fields: CurveFields, dt: float,
 
 def _extrapolated_step(curve: DiscreteCurve, fields: CurveFields, dt: float,
                        spec: FlowSpec) -> tuple[DiscreteCurve, float]:
-    """One Richardson-extrapolated step, 2 x_half - x_full, of size dt, and
-    its local error estimate max_i |x_half,i - x_full,i| / L."""
-    full = _advance(curve, fields, dt, spec)
-    half = _advance(curve, fields, 0.5 * dt, spec)
-    half = _advance(half, curve_fields(half), 0.5 * dt, spec)
-    diff = half.nodes - full.nodes
+    """One extrapolated step of size dt, and its local error estimate.
+
+    Row k of the Aitken-Neville table is k IMEX Euler substeps of dt/k
+    (k = 1, 2, 3), each intermediate state with its own field record. The
+    table's top entry T33 is third order; the estimate is the gap between
+    its two second-order entries, max_i |T32_i - T22_i| / L.
+    """
+    rows = []
+    for k in (1, 2, 3):
+        state = curve
+        for i in range(k):
+            state = _advance(state, curve_fields(state) if i else fields, dt / k, spec)
+        rows.append(state.nodes)
+    t11, t21, t31 = rows
+    t22 = t21 + (t21 - t11)
+    t32 = t31 + 2.0 * (t31 - t21)
+    diff = t32 - t22
     err = float(np.hypot(diff[:, 0], diff[:, 1]).max()) / fields.length
-    return DiscreteCurve(half.nodes + diff, curve.closed), err
+    return DiscreteCurve(t32 + 0.5 * diff, curve.closed), err
 
 
 def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
@@ -296,7 +308,7 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
             # A state is kept only once its record exists; a degenerate one never is.
             if controlled:
                 new, err = _extrapolated_step(state, fields, dt_step, spec)
-                factor = 0.9 * (AUTO_RTOL / err) ** 0.5 if err > 0.0 else 4.0
+                factor = 0.9 * (AUTO_RTOL / err) ** (1.0 / 3.0) if err > 0.0 else 4.0
                 dt = dt_step * min(max(factor, 0.2), 4.0)
                 if err > AUTO_RTOL:
                     if dt < dt_floor:

@@ -68,8 +68,8 @@ def repeat_node_on_step(monkeypatch, flow_module, step_number: int, onto: int = 
     """Make call `step_number` of flow._advance return its curve with node 1
     moved onto node `onto`: onto=0 repeats a node (a degenerate segment),
     onto=-1 makes node 0's neighbours coincide (a fold-back). A run with a
-    fixed dt makes one call per step; a controlled step makes three, the
-    full step first."""
+    fixed dt makes one call per step; a controlled attempt makes six, in its
+    table's row order: the full step, two halves, then three thirds."""
     real = flow_module._advance
     calls = []
 
