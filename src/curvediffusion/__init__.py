@@ -1,5 +1,5 @@
 """Curve diffusion flow of plane curves: simulation, exact soliton
-curves, soliton classification, and lifespan bounds."""
+curves, soliton classification, and lifespan times."""
 
 from __future__ import annotations
 

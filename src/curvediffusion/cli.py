@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvediffusion",
         description="Simulate curve diffusion flow of plane curves, generate "
-        "exact soliton curves, classify solitons, and evaluate lifespan bounds.",
+        "exact soliton curves, classify solitons, and evaluate lifespan times.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--json", dest="json_out", default=None,
                      help="also write the report to this path")
 
-    bnd = sub.add_parser("bounds", help="lifespan bounds for an initial length")
+    bnd = sub.add_parser("bounds", help="T_star, T_tilde and the figure-eight time T_fig8 of L0")
     bnd.add_argument("L0", type=float)
     bnd.add_argument("--json", dest="json_out", default=None,
                      help="also write the bounds to this path")

@@ -1,19 +1,23 @@
-"""Monitored quantities along trajectories and lifespan bounds.
+"""Monitored quantities along trajectories and three lifespan times.
 
 The flow preserves signed enclosed area, decreases length with
 dissipation rate integral(kappa_s^2) dl, and decreases the absolute
 signed isoperimetric ratio I = L^2 / (4 pi A) like
 I(t) = I(0) * exp(-integral_0^t (2/L) integral(kappa_s^2) dl dtau).
 This module computes those series for a trajectory and evaluates three
-a-priori lifespan bounds that depend only on the initial length:
+times that depend only on the initial length:
 
     T_star = L0^4 / (64 pi^4)
     T_tilde = L0^4 / (768 pi^2)
     T_fig8 = L0^4 / (3 * 2^11 * K(-1)^4)
 
-T_fig8 is the exact extinction time of the figure-eight shrinker at unit
-length, so the ratios T_star/T_fig8 and T_tilde/T_fig8 measure how far
-the generic bounds overshoot the known extremal example.
+T_fig8 is the exact extinction time of the figure eight of length L0,
+which shrinks by L(t)^4 = L0^4 (1 - t/T_fig8). T_fig8 < T_tilde < T_star
+for every L0, so the figure eight, a closed curve, dies before T_star and
+T_tilde: they are not lower bounds on the lifespan of every closed curve.
+The hypotheses under which the source paper states them are not in this
+repository; the ratios T_star/T_fig8 and T_tilde/T_fig8 are what is
+computed.
 
 Zero-area curves (the figure eight) have an undefined isoperimetric
 ratio; that is a first-class state recorded as NaN in the series, not an
@@ -140,7 +144,7 @@ def isoperimetric_decay_check(series: MonitorSeries) -> float:
 
 
 def time_bounds(L0: float) -> LifespanBounds:
-    """Lifespan bounds and their ratios for initial length L0.
+    """T_star, T_tilde, T_fig8 and their ratios for initial length L0.
 
     All three bounds are quartic in L0. The ordering
     T_fig8 < T_tilde < T_star holds for every positive length, and the

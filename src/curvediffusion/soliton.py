@@ -31,20 +31,19 @@ shifted input would be polluted by a <c, nu> term. Fitting K jointly with
 a free vector times nu removes exactly that term and makes the reported K
 independent of where the input happens to sit in the plane.
 
-One system per curve. The fits are made at unit length: on the curve
-scaled by the power of two 2**-e that brings its length into [1/2, 1).
-That scaling is exact, so the fits agree bit for bit with fits in the
-curve's own units wherever those stay in the double range, and the
-fitted constants are mapped back exactly (k1 by L^-1, k2 by L^-2, V by
-L^-3, K and S by L^-4). Without it the squares of kappa_ss overflow or
-underflow far from unit size, and the shrinker's condition number mixes
-the length <gamma, nu> with the unitless nu. The tests cover similarities
-with scale factors from 1e-60 to 1e60; a constant outside the normal double
-range (K of a curve of length 1e-100 or 1e100) makes its fit unavailable. The
-shrinker, translator and rotator normal equations are blocks of one
-weighted Gram matrix X^T diag(dl) X of the columns [kappa_ss, <gamma, nu>,
-nu_x, nu_y, 2 <tangent, gamma>], their condition numbers come from the
-eigenvalues of the symmetric blocks, and defect_scale is computed once.
+One system per curve, at unit length. The fits are made on the curve's
+copy scaled by the power of two 2**-e that brings its length into
+[1/2, 1), and on the field record curve_fields computes for that copy.
+That scaling is exact, so scale enters the fits at the copy and leaves at
+one map of each fitted constant back to the curve's units. Nothing in the
+fits under- or overflows for a curve whose chord lengths are normal
+doubles, so its verdict does not depend on its size; a constant outside
+the normal double range in the curve's units (K of a curve of length
+1e-100 or 1e100) makes its fit unavailable. The shrinker, translator and
+rotator normal equations are blocks of one weighted Gram matrix
+X^T diag(dl) X of the columns [kappa_ss, <gamma, nu>, nu_x, nu_y,
+2 <tangent, gamma>], their condition numbers come from the eigenvalues of
+the symmetric blocks, and defect_scale is computed once.
 The residuals are still weighted norms of explicit defect vectors: a
 quadratic form in the Gram matrix would cancel to round-off on exact
 solitons, whose residuals are near 1e-13.
@@ -60,7 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CurveDiffusionError, DegenerateGeometry, DomainError, NonFinite, OpenCurve
-from .geometry import CurveFields, DiscreteCurve, _d_ds, curve_fields
+from .geometry import CurveFields, DiscreteCurve, _d_ds, curve_fields, length
 
 # Relative threshold for degenerate normal equations.
 _DEGENERATE_COND = 1e12
@@ -139,20 +138,15 @@ def _normal_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 class _Fits:
-    """The four fits of one curve, made on its copy scaled by 2**-e, where
-    2**e is its length rounded up to a power of two (see the module
-    docstring). A fitted constant outside the normal double range in the
-    curve's units raises NonFinite."""
+    """The four fits of one curve, made on its unit-length copy (scaled by
+    2**-e, where 2**e is its length rounded up to a power of two) and that
+    copy's field record (see the module docstring). A fitted constant
+    outside the normal double range in the curve's units raises NonFinite."""
 
     def __init__(self, curve: DiscreteCurve) -> None:
-        fields = curve_fields(curve)
-        self.e = e = math.frexp(fields.length)[1]
-        self.closed = curve.closed
-        self.fields = CurveFields(
-            fields.tangent, fields.normal, np.ldexp(fields.kappa, e),
-            np.ldexp(fields.kappa_s, 2 * e), np.ldexp(fields.kappa_ss, 3 * e),
-            np.ldexp(fields.seg, -e), np.ldexp(fields.speed, -e))
-        self.nodes = np.ldexp(curve.nodes, -e)
+        self.e = math.frexp(length(curve))[1]
+        self.curve = DiscreteCurve(np.ldexp(curve.nodes, -self.e), curve.closed)
+        self.fields = curve_fields(self.curve)
 
     def _in_units(self, value: float, power: int) -> float:
         """A constant of unit length**-power fitted on the copy, in the curve's units."""
@@ -169,7 +163,7 @@ class _Fits:
     def _rows(self) -> np.ndarray:
         """X^T: the rows kappa_ss, <gamma, nu>, nu_x, nu_y, 2 <tangent, gamma>."""
         f = self.fields
-        x, y = self.nodes.T
+        x, y = self.curve.nodes.T
         (nx, ny), (tx, ty) = f.normal.T, f.tangent.T
         return np.array([f.kappa_ss, x * nx + y * ny, nx, ny, 2.0 * (tx * x + ty * y)])
 
@@ -192,7 +186,7 @@ class _Fits:
         total = fields.length
         k1 = float(np.sum(kap * dl) / total)
         k2, fitted = 0.0, k1
-        if not self.closed:
+        if not self.curve.closed:
             ds = fields.s - float(np.sum(fields.s * dl) / total)
             k2 = float(np.sum(kap * ds * dl) / float(np.sum(ds**2 * dl)))
             fitted = k1 + k2 * ds

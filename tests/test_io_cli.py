@@ -642,10 +642,12 @@ def test_cli_check_writes_json(tmp_path, capsys, circle_512):
 def test_cli_check_underflowing_constant_exits_1(tmp_path, capsys, fixture_dir):
     lem = curve_io.read_curve_csv(fixture_dir / "lemniscate_256.csv")
     path = tmp_path / "lem_big.csv"
-    curve_io.write_curve_csv(cd.DiscreteCurve(lem.nodes * 1e100, lem.closed), path)
-    rc, report = _run_check(path, capsys)
-    assert rc == 1
-    assert "underflows at this scale" in report["shrinker"]["unavailable"]
+    for rho in (1e100, 1e150):
+        curve_io.write_curve_csv(cd.DiscreteCurve(lem.nodes * rho, lem.closed), path)
+        rc, report = _run_check(path, capsys)
+        assert rc == 1, rho
+        assert report["verdict"] == "none", rho
+        assert "underflows at this scale" in report["shrinker"]["unavailable"], rho
 
 
 def test_cli_check_malformed_csv(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Soliton fits, classification, and the rigidity integral identities."""
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -360,34 +361,46 @@ def test_classify_lemniscate_at_extreme_scales(rho):
 
 
 def test_classify_constant_out_of_range_is_unavailable():
-    # K and S of a curve of length 1e-100 exceed the double range.
-    crv = moved(_FIXTURE_CURVES["lemniscate_256"], scale=1e-100)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = cd.classify(crv)
-    assert report.shrinker is None and report.rotator is None
-    assert "overflows at this scale" in report.unavailable["shrinker"]
-    assert report.stationary.residual == pytest.approx(1.0)
+    # K and S of a curve of length 1e-100 or less exceed the double range.
+    for rho in (1e-100, 1e-110, 1e-150, 1e-200):
+        crv = moved(_FIXTURE_CURVES["lemniscate_256"], scale=rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cd.classify(crv)
+        assert report.shrinker is None and report.rotator is None, rho
+        assert "overflows at this scale" in report.unavailable["shrinker"], rho
+        assert report.stationary.residual == pytest.approx(1.0), rho
+        assert report.verdict is None, rho
+        json.dumps(cd.report_to_dict(report), allow_nan=False)
 
 
 def test_classify_constant_that_underflows_is_unavailable():
-    # At length 1e100, K = -6 L^-4 and S fall below the normal doubles; a K
-    # of -0.0 would otherwise keep the shrinker verdict whatever its sign.
-    crv = moved(_FIXTURE_CURVES["lemniscate_256"], scale=1e100)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = cd.classify(crv)
-    assert report.shrinker is None and report.rotator is None
-    assert "underflows at this scale" in report.unavailable["shrinker"]
-    assert report.verdict is None
+    # At length 1e100 or more, K = -6 L^-4 and S fall below the normal
+    # doubles; a K of -0.0 would otherwise keep the shrinker verdict
+    # whatever its sign.
+    for rho in (1e100, 1e110, 1e150, 1e200):
+        crv = moved(_FIXTURE_CURVES["lemniscate_256"], scale=rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cd.classify(crv)
+        assert report.shrinker is None and report.rotator is None, rho
+        assert "underflows at this scale" in report.unavailable["shrinker"], rho
+        assert report.verdict is None, rho
+        json.dumps(cd.report_to_dict(report), allow_nan=False)
 
 
 def test_classify_large_circle_keeps_small_curvature():
-    # k1 = 1e-100 is a normal double, and k2 = 0.0 is exact, not underflow.
-    report = cd.classify(moved(_FIXTURE_CURVES["circle_256"], scale=1e100))
-    assert report.verdict == "stationary"
-    assert report.stationary.k1 == pytest.approx(1e-100, rel=1e-3)
-    assert report.stationary.k2 == 0.0
+    # k1 = 1/rho is a normal double, and k2 = 0.0 is exact, not underflow.
+    crv = _FIXTURE_CURVES["circle_256"]
+    base = cd.classify(crv).stationary.k1
+    for rho in (1e-150, 1e-110, 1e100, 1e110, 1e150):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cd.classify(moved(crv, scale=rho))
+        assert report.verdict == "stationary", rho
+        assert report.stationary.k1 * rho == pytest.approx(base, rel=1e-12), rho
+        assert report.stationary.k2 == 0.0, rho
+        json.dumps(cd.report_to_dict(report), allow_nan=False)
 
 
 def test_fits_unit_length_agrees_bit_for_bit():
@@ -478,6 +491,8 @@ def _assert_matches_reference(crv: cd.DiscreteCurve) -> None:
     # Constants agree to 1e-10 relative, or 1e-10 absolute at unit length:
     # a constant that is round-off (K of a circle, k1 of a figure eight)
     # follows the order of the sums, which the Gram matrix changes.
+    # Residuals agree in 6 digits, or within 1e-15: a residual that is
+    # round-off (the stationary fit of a circle) follows the same sums.
     unit = cd.length(crv)
     got, want = cd.classify(crv), _reference_classify(crv)
     assert got.verdict == want.verdict
@@ -486,7 +501,7 @@ def _assert_matches_reference(crv: cd.DiscreteCurve) -> None:
         g, w = cd.report_to_dict(got)[name], cd.report_to_dict(want)[name]
         assert g.keys() == w.keys()
         if "residual" in w:
-            assert g["residual"] == w["residual"], name
+            assert g["residual"] == pytest.approx(w["residual"], rel=0.0, abs=1e-15), name
     for got_c, want_c, power in (
             (got.stationary.k1, want.stationary.k1, 1),
             (got.stationary.k2, want.stationary.k2, 2),
