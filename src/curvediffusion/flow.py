@@ -27,7 +27,9 @@ The automatic step (dt = None) of the semi-implicit scheme on a closed
 curve is error-controlled: each step extrapolates 1, 2 and 3 IMEX Euler
 substeps in an Aitken-Neville table (linearly implicit Euler extrapolation,
 Deuflhard 1985), which is third order, and the gap between the table's two
-second-order entries estimates the local error that sets the next dt.
+second-order entries estimates the local error that sets the next dt. The
+rows advance together by stage, so an attempt makes 3 field records and 3
+FFT pairs, one stacked circulant solve per stage.
 Every other automatic step follows the mesh (h^2/4 or h^4/10).
 
 Stopping is by first trigger among: time horizon reached, length below a
@@ -163,19 +165,22 @@ def _closed_symbol(n: int) -> np.ndarray:
     return sym
 
 
-def _imex_solve(rhs: np.ndarray, c: float, closed: bool) -> np.ndarray:
-    """Solve (I + c S^T S) x = rhs for (N, 2) rhs, S the unit second difference.
+def _imex_solve(rhs: np.ndarray, c: float | np.ndarray, closed: bool) -> np.ndarray:
+    """Solve (I + c S^T S) x = rhs, S the unit second difference.
 
+    rhs is (N, 2) with a scalar c. Closed curves also take a row-first stack:
+    c of shape (B,), one per row, against rhs (B, N, 2), or against one (N, 2)
+    rhs shared by the B rows; x is then (B, N, 2), from one FFT pair.
     Closed: circulant with symbol 1 + c (2 - 2 cos(2 pi k/N))^2, evaluated as
     1 + c (4 sin^2(pi k/N))^2 to avoid cancellation at low k, its c-free part
     cached per N by _closed_symbol. Open (N >= 4): in upper-band storage, row
     2 of ab is the diagonal [1, 5, 6, ..., 6, 5, 1] of S^T S and rows 1, 0
     its superdiagonals [-2, -4, ..., -4, -2] and ones.
     """
-    n = rhs.shape[0]
+    n = rhs.shape[-2]
     if closed:
-        scale = 1.0 + c * _closed_symbol(n)
-        return np.fft.irfft(np.fft.rfft(rhs, axis=0) / scale[:, None], n=n, axis=0)
+        scale = 1.0 + np.multiply.outer(c, _closed_symbol(n))
+        return np.fft.irfft(np.fft.rfft(rhs, axis=-2) / scale[..., None], n=n, axis=-2)
     ab = np.repeat([[c], [-4.0 * c], [1.0 + 6.0 * c]], n, axis=1)
     ab[1, [1, -1]] = -2.0 * c
     ab[2, [0, 1, -2, -1]] = 1.0 + c * np.array([1.0, 5.0, 5.0, 1.0])
@@ -225,35 +230,58 @@ def _advance(curve: DiscreteCurve, fields: CurveFields, dt: float,
             raise SolveFailure(f"implicit solve failed: {exc}") from exc
         new_nodes = curve.nodes + incr
 
-    if not np.all(np.isfinite(new_nodes)):
-        node = int(np.argmin(np.isfinite(new_nodes).all(axis=1)))
-        x, y = new_nodes[node]
-        raise NonFinite(f"non-finite coordinates after a time step: node {node} "
-                        f"at ({float(x)!r}, {float(y)!r})")
-    return DiscreteCurve(new_nodes, curve.closed)
+    return DiscreteCurve(_require_finite(new_nodes), curve.closed)
+
+
+def _require_finite(nodes: np.ndarray) -> np.ndarray:
+    """nodes, (N, 2) or a stack (B, N, 2) of table rows, if all are finite.
+
+    NonFinite names the first bad node of the first bad row by its node index.
+    """
+    if not np.all(np.isfinite(nodes)):
+        flat = nodes.reshape(-1, 2)
+        i = int(np.argmin(np.isfinite(flat).all(axis=1)))
+        x, y = flat[i]
+        raise NonFinite(f"non-finite coordinates after a time step: node "
+                        f"{i % nodes.shape[-2]} at ({float(x)!r}, {float(y)!r})")
+    return nodes
 
 
 def _extrapolated_step(curve: DiscreteCurve, fields: CurveFields, dt: float,
                        spec: FlowSpec) -> tuple[DiscreteCurve, float]:
-    """One extrapolated step of size dt, and its local error estimate.
+    """One extrapolated semi-implicit step of size dt on a closed curve, and
+    its local error estimate.
 
     Row k of the Aitken-Neville table is k IMEX Euler substeps of dt/k
     (k = 1, 2, 3), each intermediate state with its own field record. The
-    table's top entry T33 is third order; the estimate is the gap between
-    its two second-order entries, max_i |T32_i - T22_i| / L.
+    rows advance together, one substep per stage and one stacked circulant
+    solve per stage: stage 0 moves rows 1-3 from the shared state, stage 1
+    rows 2 and 3, stage 2 row 3. The table's top entry T33 is third order;
+    the estimate is the gap between its two second-order entries,
+    max_i |T32_i - T22_i| / L.
     """
+    k = np.arange(1.0, 4.0)
+    tau = dt / k
+    h = fields.length / fields.seg.size
+    # One transform of dt v nu serves the three first substeps: row k's
+    # solution, divided by k, is its step of dt/k.
+    rhs = dt * normal_velocity(fields, spec.kind)[:, None] * fields.normal
+    live = curve.nodes + _imex_solve(rhs, tau / h**4, True) / k[:, None, None]
     rows = []
-    for k in (1, 2, 3):
-        state = curve
-        for i in range(k):
-            state = _advance(state, curve_fields(state) if i else fields, dt / k, spec)
-        rows.append(state.nodes)
-    t11, t21, t31 = rows
+    for tau_live in (tau[1:], tau[2:]):
+        rows.append(_require_finite(live)[0])
+        records = [curve_fields(DiscreteCurve(x, True)) for x in live[1:]]
+        rhs = np.stack([t * normal_velocity(f, spec.kind)[:, None] * f.normal
+                        for t, f in zip(tau_live, records)])
+        h = np.array([f.length / f.seg.size for f in records])
+        live = live[1:] + _imex_solve(rhs, tau_live / h**4, True)
+    t11, t21 = rows
+    t31 = _require_finite(live)[0]
     t22 = t21 + (t21 - t11)
     t32 = t31 + 2.0 * (t31 - t21)
     diff = t32 - t22
     err = float(np.hypot(diff[:, 0], diff[:, 1]).max()) / fields.length
-    return DiscreteCurve(t32 + 0.5 * diff, curve.closed), err
+    return DiscreteCurve(t32 + 0.5 * diff, True), err
 
 
 def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:

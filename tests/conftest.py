@@ -64,22 +64,40 @@ def perturbed_ellipse() -> cd.DiscreteCurve:
     return cd.read_curve_csv(FIXTURE_DIR / "perturbed_ellipse_256.csv")
 
 
+def _node_1_onto(curve: cd.DiscreteCurve, onto: int) -> cd.DiscreteCurve:
+    nodes = curve.nodes.copy()
+    nodes[1] = nodes[onto]
+    return cd.DiscreteCurve(nodes, curve.closed)
+
+
 def repeat_node_on_step(monkeypatch, flow_module, step_number: int, onto: int = 0) -> None:
     """Make call `step_number` of flow._advance return its curve with node 1
     moved onto node `onto`: onto=0 repeats a node (a degenerate segment),
     onto=-1 makes node 0's neighbours coincide (a fold-back). A run with a
-    fixed dt makes one call per step; a controlled attempt makes six, in its
-    table's row order: the full step, two halves, then three thirds."""
+    fixed dt makes one call per step."""
     real = flow_module._advance
     calls = []
 
     def faulty(curve, *args):
         new = real(curve, *args)
         calls.append(None)
-        if len(calls) != step_number:
-            return new
-        nodes = new.nodes.copy()
-        nodes[1] = nodes[onto]
-        return cd.DiscreteCurve(nodes, new.closed)
+        return new if len(calls) != step_number else _node_1_onto(new, onto)
 
     monkeypatch.setattr(flow_module, "_advance", faulty)
+
+
+def repeat_node_on_record(monkeypatch, flow_module, call_number: int, onto: int = 0) -> None:
+    """Make call `call_number` of flow.curve_fields see its curve with node 1
+    moved onto node `onto`, as repeat_node_on_step does. evolve makes one
+    call per kept state (the first for the initial one), and a controlled
+    attempt one per intermediate state of its table, in stage order: the
+    first substeps of rows 2 and 3 (a half and a third), then row 3's
+    second third."""
+    real = flow_module.curve_fields
+    calls = []
+
+    def faulty(curve):
+        calls.append(None)
+        return real(curve if len(calls) != call_number else _node_1_onto(curve, onto))
+
+    monkeypatch.setattr(flow_module, "curve_fields", faulty)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import curvediffusion as cd
 from curvediffusion import flow
-from conftest import ellipse_curve, moved, random_smooth_curve, repeat_node_on_step
+from conftest import (FIXTURE_DIR, ellipse_curve, moved, random_smooth_curve,
+                      repeat_node_on_record, repeat_node_on_step)
 
 RNG = np.random.default_rng(20260814)
 
@@ -282,16 +283,40 @@ def test_evolve_reports_non_regular(lemniscate_512, monkeypatch):
 
 
 def test_evolve_reports_fold_back_in_a_controlled_step(lemniscate_512, monkeypatch):
-    # Call 8 is the first half step of step 2 (calls 1-6 are step 1, call 7
-    # is step 2's full step): the half state folds back at node 0, its field
-    # record fails, and the state after step 1 is the last.
-    repeat_node_on_step(monkeypatch, flow, 8, onto=-1)
+    # Record 6 is of the first half step of step 2 (record 1 is the initial
+    # state's, 2-4 are step 1's table states, 5 the state after step 1): the
+    # half state folds back at node 0, its field record fails, and the state
+    # after step 1 is the last.
+    repeat_node_on_record(monkeypatch, flow, 6, onto=-1)
     traj = cd.evolve(lemniscate_512, cd.FlowSpec(t_end=1e-3, snapshot_every=1))
     assert traj.termination == flow.TERM_NON_REGULAR
     assert traj.n_steps == 1
     assert traj.termination_detail == (
         "parameter speed 0.000e+00 at node 0 is not positive: the curve folds back "
         f"on itself there (last kept state: step 1, t = {float(traj.times[-1])!r})")
+
+
+def test_evolve_reports_non_finite_row_of_a_controlled_step(lemniscate_512, monkeypatch):
+    # Solve 2 is stage 1 of step 1, which moves rows 2 and 3; row 3's node 5
+    # overflows. The detail names the node and its coordinates, not the row.
+    real = flow._imex_solve
+    calls = []
+
+    def overflowing(*args):
+        x = real(*args)
+        calls.append(None)
+        if len(calls) == 2:
+            x[-1, 5, 0] = np.inf
+        return x
+
+    monkeypatch.setattr(flow, "_imex_solve", overflowing)
+    traj = cd.evolve(lemniscate_512, cd.FlowSpec(t_end=1e-3, snapshot_every=1))
+    assert traj.termination == flow.TERM_NON_FINITE
+    assert traj.n_steps == 0
+    match = re.fullmatch(r"non-finite coordinates after a time step: node 5 at \(inf, (\S+)\) "
+                         r"\(last kept state: step 0, t = 0\.0\)", traj.termination_detail)
+    assert match is not None, traj.termination_detail
+    assert np.isfinite(float(match.group(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +462,71 @@ def test_extrapolated_step_is_third_order():
         assert errors[2] < worst
 
 
+def _row_by_row_extrapolated_step(curve, fields, dt, spec):
+    """The three-row table one row at a time: k IMEX Euler substeps of dt/k
+    through flow._advance, six solves where flow._extrapolated_step makes three."""
+    rows = []
+    for k in (1, 2, 3):
+        state = curve
+        for i in range(k):
+            state = flow._advance(state, cd.curve_fields(state) if i else fields, dt / k, spec)
+        rows.append(state.nodes)
+    t11, t21, t31 = rows
+    t22 = t21 + (t21 - t11)
+    t32 = t31 + 2.0 * (t31 - t21)
+    diff = t32 - t22
+    err = float(np.hypot(diff[:, 0], diff[:, 1]).max()) / fields.length
+    return cd.DiscreteCurve(t32 + 0.5 * diff, curve.closed), err
+
+
+@pytest.mark.parametrize("curve", [
+    cd.sample_analytic(cd.Lemniscate(), 64),
+    cd.sample_analytic(cd.Lemniscate(), 256),
+    cd.sample_analytic(cd.Lemniscate(), 1024),
+    cd.read_curve_csv(FIXTURE_DIR / "perturbed_ellipse_256.csv"),
+], ids=["lemniscate64", "lemniscate256", "lemniscate1024", "perturbed_ellipse"])
+@pytest.mark.parametrize("kind", [cd.CURVE_DIFFUSION, cd.ELASTIC])
+def test_stacked_extrapolated_step_matches_row_by_row(curve, kind):
+    # The stages change only the order of round-off: at most 2.2e-16 L apart
+    # here, and the estimates 2.7e-14 relative.
+    start = cd.resample_uniform(curve, curve.n)
+    fields = cd.curve_fields(start)
+    spec = cd.FlowSpec(kind=kind)
+    for dt in (1e-6, 1e-5, 1e-4, 3e-4):
+        stacked, err = flow._extrapolated_step(start, fields, dt, spec)
+        reference, ref_err = _row_by_row_extrapolated_step(start, fields, dt, spec)
+        assert np.abs(stacked.nodes - reference.nodes).max() <= 1e-13 * fields.length
+        assert err == pytest.approx(ref_err, rel=1e-9)
+
+
+def test_extrapolated_step_makes_one_fft_pair_per_stage(monkeypatch):
+    # Three stages, each one rfft and one irfft; row by row it was six each.
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    start = cd.sample_analytic(cd.Lemniscate(), 256)
+    fields = cd.curve_fields(start)
+    flow._extrapolated_step(start, fields, 1e-4, cd.FlowSpec())
+    assert counts == {"rfft": 3, "irfft": 3}
+    _row_by_row_extrapolated_step(start, fields, 1e-4, cd.FlowSpec())
+    assert counts == {"rfft": 9, "irfft": 9}
+
+
+def test_imex_solve_rows_equal_single_solves():
+    # A stack of rows, one c per row, is each row's own solve, and a shared
+    # right-hand side is broadcast to every row.
+    rhs = RNG.standard_normal((3, 128, 2))
+    c = np.array([1e3, 2e4, 5e5])
+    stacked = flow._imex_solve(rhs, c, True)
+    shared = flow._imex_solve(rhs[0], c, True)
+    for i in range(3):
+        np.testing.assert_array_equal(stacked[i], flow._imex_solve(rhs[i], c[i], True))
+        np.testing.assert_array_equal(shared[i], flow._imex_solve(rhs[0], c[i], True))
+
+
 def test_controlled_lemniscate_length_near_extinction():
     # t = 0.04 is 96 % of the lifespan 1/24: the h^2/4 step was 11.1 % off
     # the exact length here, step doubling +0.30 %, the three-row table -0.30 %.
@@ -492,6 +582,18 @@ def test_uncontrolled_runs_take_plain_steps(monkeypatch, curve, spec):
 
     monkeypatch.setattr(flow, "_extrapolated_step", unexpected)
     assert cd.evolve(curve, spec).termination == flow.TERM_TIME_REACHED
+
+
+def test_automatic_clothoid_ends_stay_put():
+    # The clothoid is stationary: under dt: auto (h^2/4 steps, 1314 of them)
+    # its end nodes move 0.0293 here. Error control on open curves, which
+    # stops at the interior error, let them move 0.054 at N=256.
+    spec = cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=-1.0, s_max=1.0)
+    traj = cd.evolve(cd.sample_analytic(spec, 256),
+                     cd.FlowSpec(t_end=0.02, redistribute_every=10, snapshot_every=10))
+    assert traj.termination == flow.TERM_TIME_REACHED
+    ends = traj.snapshots[-1].nodes[[0, -1]] - traj.snapshots[0].nodes[[0, -1]]
+    assert np.hypot(ends[:, 0], ends[:, 1]).max() < 0.035
 
 
 # ---------------------------------------------------------------------------
