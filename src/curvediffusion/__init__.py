@@ -1,8 +1,6 @@
 """Curve diffusion flow of plane curves: simulation, exact soliton
 curves, soliton classification, and lifespan times."""
 
-from __future__ import annotations
-
 from .analytic import (
     AnalyticCurveSpec,
     Circle,
@@ -11,7 +9,6 @@ from .analytic import (
     Lemniscate,
     Line,
     elliptic_K,
-    fresnel_point,
     lemniscate_point,
     sample_analytic,
     spec_from_dict,
@@ -20,7 +17,6 @@ from .analytic import (
 from .curve_io import (
     curve_from_csv,
     curve_to_csv,
-    curve_to_svg,
     monitors_to_csv,
     read_curve_csv,
     write_curve_csv,
@@ -50,22 +46,17 @@ from .flow import (
     FlowSpec,
     ScaleFit,
     Trajectory,
-    auto_dt,
     evolve,
     fit_scale_profile,
     normal_velocity,
-    step,
 )
 from .geometry import (
     CurveFields,
     DiscreteCurve,
-    OsculatingDisc,
-    arc_derivative,
     curve_fields,
     hausdorff_distance,
     length,
     normalize_shape,
-    osculating_disc,
     osculating_discs_nested,
     resample_uniform,
     segment_lengths,
@@ -75,10 +66,7 @@ from .geometry import (
 from .monitor import (
     LifespanBounds,
     MonitorSeries,
-    dissipation,
     isoperimetric_decay_check,
-    isoperimetric_ratio,
-    monitor_curves,
     time_bounds,
 )
 from .soliton import (
@@ -95,7 +83,6 @@ from .soliton import (
     fit_translator,
     frame_position_identity,
     normal_flux_identity,
-    open_translator_identity,
     report_to_dict,
 )
 

@@ -235,18 +235,6 @@ def _check_orientation(value: int) -> None:
         raise DomainError(f"orientation must be +1 or -1, got {value}")
 
 
-def fresnel_point(s: float, spec: FresnelFamily) -> np.ndarray:
-    """Point of the spiral family at arc length s (before orientation).
-
-    Integrates the unit tangent exp(i (c1 t + c2 t^2)) from 0 to s with
-    composite Gauss-Legendre panels short enough that the tangent turns by
-    at most 1 rad on each, then applies the family's rotation and
-    translation. Raises QuadratureFailure when that would need more than
-    2**20 panels.
-    """
-    return _fresnel_sample(spec, np.array([float(s)]))[0]
-
-
 def _fresnel_sample(spec: FresnelFamily, s_values: np.ndarray) -> np.ndarray:
     # The path 0 -> s_0 -> s_1 -> ... is cut into segments, and each segment
     # into k equal panels, so that the phase c1 t + c2 t^2, whose slope is at
@@ -275,7 +263,10 @@ def sample_analytic(spec: AnalyticCurveSpec, n: int) -> DiscreteCurve:
 
     Closed kinds sample u over [0, 2 pi) without repeating the seam node;
     open kinds sample s over [s_min, s_max] inclusive. orientation = -1
-    reverses the node order.
+    reverses the node order. A FresnelFamily node integrates the unit
+    tangent exp(i (c1 t + c2 t^2)) from 0 with composite Gauss-Legendre
+    panels on which the tangent turns by at most 1 rad; QuadratureFailure
+    is raised when that would need more than 2**20 panels.
     """
     if n < MIN_SAMPLE_NODES:
         raise TooFewNodes(f"sample_analytic needs N >= {MIN_SAMPLE_NODES}, got {n}")

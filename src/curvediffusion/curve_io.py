@@ -187,7 +187,11 @@ def write_monitors_csv(series: MonitorSeries, path) -> None:
 
 
 def _svg_text(curve: DiscreteCurve, rows: str) -> str:
-    """The SVG document of a curve whose _node_rows are `rows`."""
+    """The SVG document of a curve whose _node_rows are `rows`: a single
+    stroke-only path with the viewBox fitted to the curve's bounding box
+    plus a 5% margin. The path data is the row text, drawn under
+    scale(1 -1) so the plane's orientation matches the usual mathematical
+    convention."""
     lo = curve.nodes.min(axis=0)
     hi = curve.nodes.max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
@@ -200,14 +204,6 @@ def _svg_text(curve: DiscreteCurve, rows: str) -> str:
         'stroke-width="%.17g"/>\n'
         "</svg>\n"
     ) % (x0, y0, w, h, rows, "Z" if curve.closed else "", 0.004 * max(w, h))
-
-
-def curve_to_svg(curve: DiscreteCurve) -> str:
-    """Single-path, stroke-only SVG with the viewBox fitted to the curve's
-    bounding box plus a 5% margin. The path data is the curve CSV's row
-    text, drawn under scale(1 -1) so the plane's orientation matches the
-    usual mathematical convention."""
-    return _svg_text(curve, _node_rows(curve))
 
 
 def write_json(obj, path) -> None:

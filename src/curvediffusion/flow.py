@@ -43,12 +43,13 @@ snapshot is always a regular curve.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonFinite, NonRegular, SolveFailure, TooFewSnapshots
+from .errors import DomainError, NonFinite, NonRegular, SolveFailure, TooFewSnapshots
 from .geometry import (CurveFields, DiscreteCurve, _require_regular, _solve_banded,
                        curve_fields, resample_uniform, segment_lengths)
 from .monitor import MonitorSeries, _row, _series
@@ -196,23 +197,6 @@ def _auto_step(h: float, scheme: str) -> float:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def auto_dt(curve: DiscreteCurve, scheme: str) -> float:
-    """Automatic step for the current mean arc spacing."""
-    seg = _require_regular(segment_lengths(curve))
-    return _auto_step(float(seg.sum()) / seg.size, scheme)
-
-
-def step(curve: DiscreteCurve, dt: float, spec: FlowSpec) -> DiscreteCurve:
-    """Advance one time step of size dt.
-
-    The explicit stability envelope is the caller's contract (evolve
-    enforces it); this function will take whatever step it is given.
-    """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return _advance(curve, curve_fields(curve), dt, spec)
-
-
 def _advance(curve: DiscreteCurve, fields: CurveFields, dt: float,
              spec: FlowSpec) -> DiscreteCurve:
     """One step of size dt > 0 from the curve and its field record."""
@@ -296,7 +280,16 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
     the next step, the automatic dt, the stop rules and the monitor row
     of a snapshot. A rejected controlled attempt keeps no state and is not
     a step: the redistribution and snapshot cadences count accepted steps.
+
+    Raises DomainError, before any other work, when h^4 is not a normal
+    double, h the input's mean chord: the semi-implicit solve divides by
+    h^4, and curve_fields cubes a parameter speed proportional to h.
     """
+    seg = _require_regular(segment_lengths(curve))
+    h = float(seg.sum()) / seg.size
+    if not sys.float_info.min <= (h * h) * (h * h) < np.inf:
+        raise DomainError(f"mean node spacing h = {h:.3e} puts h^4 outside the normal "
+                          "double range; rescale the curve")
     state = curve
     if spec.redistribute_every > 0:
         state = resample_uniform(state, curve.n)
@@ -387,17 +380,19 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
 def fit_scale_profile(traj: Trajectory) -> ScaleFit:
     """Fit the self-similar scale law L(t)^4 = L(0)^4 (1 + 4 K t).
 
-    Linear regression of (L/L0)^4 - 1 against t through the origin
-    (the intercept is pinned by normalizing rho = 1). rms_residual is the
-    root-mean-square misfit in the dimensionless (L/L0)^4 variable.
+    Linear regression of (L/L0)^4 - 1 against tau = t / t[-1] through the
+    origin (the intercept is pinned by normalizing rho = 1), so that no
+    square of a time overflows; K is the slope over t[-1]. rms_residual is
+    the root-mean-square misfit in the dimensionless (L/L0)^4 variable.
     """
     if len(traj.snapshots) < 3:
         raise TooFewSnapshots(
             f"scale fit needs at least 3 snapshots, got {len(traj.snapshots)}"
         )
     t = np.asarray(traj.times, dtype=float)
+    tau = t / t[-1]
     lengths = traj.monitors.L
     y = (lengths / lengths[0]) ** 4 - 1.0
-    k = float(np.sum(t * y) / (4.0 * np.sum(t * t)))
-    rms = float(np.sqrt(np.mean((1.0 + 4.0 * k * t - (1.0 + y)) ** 2)))
-    return ScaleFit(rho=1.0, K=k, rms_residual=rms)
+    k = float(np.sum(tau * y) / (4.0 * np.sum(tau * tau)))
+    rms = float(np.sqrt(np.mean((1.0 + 4.0 * k * tau - (1.0 + y)) ** 2)))
+    return ScaleFit(rho=1.0, K=k / float(t[-1]), rms_residual=rms)

@@ -127,14 +127,6 @@ class CurveFields:
         return np.concatenate([[0.0], np.cumsum(self.seg[: self.kappa.size - 1])])
 
 
-@dataclass(frozen=True)
-class OsculatingDisc:
-    """Osculating disc at a node: center = gamma + nu/kappa, radius = 1/|kappa|."""
-
-    center: np.ndarray
-    radius: float
-
-
 def _wrap(f: np.ndarray, closed: bool) -> np.ndarray:
     """A per-node field laid out for the stencils. On a closed curve its last
     row is prepended and its first row appended, so that f[2:], f[1:-1] and
@@ -279,20 +271,6 @@ def curve_fields(curve: DiscreteCurve) -> CurveFields:
     return CurveFields(tangent, normal, kappa, kappa_s, kappa_ss, seg, speed)
 
 
-def arc_derivative(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:
-    """Discrete d/ds of a per-node scalar or vector field.
-
-    Applies the same parameter-derivative stencils as curve_fields and
-    divides by the local speed |gamma_u|, so results are consistent with
-    the kappa_s / kappa_ss fields.
-    """
-    speed = curve_fields(curve).speed
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != curve.n:
-        raise ValueError("field length does not match the node count")
-    return _d_ds(values, speed, curve.closed)
-
-
 def _solve_banded(ab: np.ndarray, rhs: np.ndarray, l_and_u=None) -> np.ndarray:
     """Solve a banded system given in scipy.linalg's band storage: the upper
     form of a symmetric positive definite matrix (banded Cholesky) when
@@ -384,16 +362,6 @@ def resample_uniform(curve: DiscreteCurve, m: int) -> DiscreteCurve:
     y, a1, a2, a3 = (np.take(c, i, axis=0) for c in (pts, c1, c2, c3))
     nodes = y + x * (a1 + x * (a2 + x * a3))
     return DiscreteCurve(nodes, curve.closed)
-
-
-def osculating_disc(curve: DiscreteCurve, index: int) -> OsculatingDisc:
-    """Osculating disc at one node; kappa must be nonzero there."""
-    fields = curve_fields(curve)
-    k = fields.kappa[index]
-    if k == 0.0:
-        raise HypothesisViolated(f"kappa vanishes at node {index}")
-    center = curve.nodes[index] + fields.normal[index] / k
-    return OsculatingDisc(center=center, radius=1.0 / abs(k))
 
 
 def osculating_discs_nested(curve: DiscreteCurve, i_range) -> bool:

@@ -4,8 +4,9 @@ The flow preserves signed enclosed area, decreases length with
 dissipation rate integral(kappa_s^2) dl, and decreases the absolute
 signed isoperimetric ratio I = L^2 / (4 pi A) like
 I(t) = I(0) * exp(-integral_0^t (2/L) integral(kappa_s^2) dl dtau).
-This module computes those series for a trajectory and evaluates three
-times that depend only on the initial length:
+flow.evolve records one row of those series per snapshot with _row, from
+the field record it already holds, and _series assembles them. This
+module also evaluates three times that depend only on the initial length:
 
     T_star = L0^4 / (64 pi^4)
     T_tilde = L0^4 / (768 pi^2)
@@ -19,9 +20,10 @@ The hypotheses under which the source paper states them are not in this
 repository; the ratios T_star/T_fig8 and T_tilde/T_fig8 are what is
 computed.
 
-Zero-area curves (the figure eight) have an undefined isoperimetric
-ratio; that is a first-class state recorded as NaN in the series, not an
-error, since the zero-area shrinker is a primary test subject.
+Zero-area curves (the figure eight) and open curves have an undefined
+isoperimetric ratio; that is a first-class state recorded as NaN in the
+series, not an error, since the zero-area shrinker is a primary test
+subject.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analytic import elliptic_K
-from .errors import DomainError, OpenCurve, Undefined
-from .geometry import CurveFields, DiscreteCurve, curve_fields, length, signed_area
+from .errors import DomainError, Undefined
+from .geometry import CurveFields, DiscreteCurve, signed_area
 
 # T_star, T_tilde and T_fig8 are L0^4 divided by these, so the ratios
 # T_star/T_fig8 and T_tilde/T_fig8 are the same for every L0.
@@ -90,19 +92,6 @@ def _running_integral(t: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def dissipation(curve: DiscreteCurve) -> float:
-    """Length-decay rate integral(kappa_s^2) dl of the curve."""
-    return _dissipation(curve_fields(curve))
-
-
-def isoperimetric_ratio(curve: DiscreteCurve) -> float:
-    """Signed isoperimetric ratio L^2 / (4 pi A); NaN when |A| is below
-    1e-12 * L^2 (undefined, e.g. the figure eight)."""
-    if not curve.closed:
-        raise OpenCurve("isoperimetric_ratio requires a closed curve")
-    return _ratio(length(curve), signed_area(curve))
-
-
 def _row(curve: DiscreteCurve, fields: CurveFields) -> tuple[float, float, float, float]:
     """(L, A, I, diss) of one curve from its field record; A and I are NaN
     for an open curve. L = fields.length is the sum length() takes."""
@@ -121,12 +110,6 @@ def _series(times, rows) -> MonitorSeries:
     lengths, areas, ratios, diss = np.array(rows, dtype=float).T
     return MonitorSeries(t=t, L=lengths, A=areas, I=ratios, Q=_running_integral(t, diss),
                          diss=diss)
-
-
-def monitor_curves(times, curves) -> MonitorSeries:
-    """Build a MonitorSeries from parallel sequences of times and curves,
-    with one curve_fields record per curve."""
-    return _series(times, [_row(curve, curve_fields(curve)) for curve in curves])
 
 
 def isoperimetric_decay_check(series: MonitorSeries) -> float:

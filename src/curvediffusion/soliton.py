@@ -385,20 +385,3 @@ def frame_position_identity(curve: DiscreteCurve) -> tuple[float, float]:
     a = float(np.sum(np.sum(nu_s * curve.nodes, axis=1) * fields.dl))
     b = float(np.sum(np.sum(fields.normal * fields.tangent, axis=1) * fields.dl))
     return a, b
-
-
-def open_translator_identity(curve: DiscreteCurve, v) -> tuple[float, float]:
-    """Open-curve pair (sum kappa_s^2 dl, boundary term [<v, tangent> + kappa kappa_s]).
-
-    For a translator with velocity v the two agree: d/ds of
-    <v, tangent> + kappa kappa_s is kappa_s^2 along solutions. The
-    boundary term is evaluated last-node minus first-node.
-    """
-    if curve.closed:
-        raise OpenCurve("the boundary identity needs an open curve window")
-    fields = curve_fields(curve)
-    v = np.asarray(v, dtype=float)
-    integral = float(np.sum(fields.kappa_s**2 * fields.dl))
-    flux = fields.tangent @ v + fields.kappa * fields.kappa_s
-    boundary = float(flux[-1] - flux[0])
-    return integral, boundary

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import curvediffusion as cd
+from curvediffusion import monitor
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -25,6 +26,12 @@ def random_smooth_curve(rng: np.random.Generator, n: int = 256) -> cd.DiscreteCu
         a, b = rng.normal(size=2)
         r += 0.03 * (a * np.cos(k * u) + b * np.sin(k * u))
     return cd.DiscreteCurve(np.column_stack([r * np.cos(u), r * np.sin(u)]), closed=True)
+
+
+def monitor_series(times, curves) -> cd.MonitorSeries:
+    """The monitor series of curves at times, each row from its own field
+    record, as evolve builds it for its snapshots."""
+    return monitor._series(times, [monitor._row(c, cd.curve_fields(c)) for c in curves])
 
 
 def rotation(angle: float) -> np.ndarray:

@@ -74,7 +74,7 @@ def test_elliptic_k_domain(m):
 def test_fresnel_unresolvable_frequency():
     spec = cd.FresnelFamily(c1=0.0, c2=1e30, s_min=0.0, s_max=1.0)
     with pytest.raises(cd.QuadratureFailure):
-        cd.fresnel_point(1.0, spec)
+        cd.sample_analytic(spec, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -127,31 +127,32 @@ def test_lemniscate_jet_frame():
 
 def test_fresnel_point_at_zero():
     spec = cd.FresnelFamily(c1=0.0, c2=np.pi / 2, v=(2.0, -1.0), s_min=0.0, s_max=1.0)
-    assert cd.fresnel_point(0.0, spec) == pytest.approx([2.0, -1.0], abs=1e-15)
+    assert cd.sample_analytic(spec, 8).nodes[0] == pytest.approx([2.0, -1.0], abs=1e-15)
 
 
 def test_fresnel_constant_curvature_is_circle():
     # c1=1, c2=0 integrates the unit tangent of a unit circle through 0:
-    # gamma(s) = (sin s, 1 - cos s).
+    # gamma(s) = (sin s, 1 - cos s). Node 4 of 9 sits at s = pi.
     spec = cd.FresnelFamily(c1=1.0, c2=0.0, s_min=0.0, s_max=2 * np.pi)
-    assert cd.fresnel_point(np.pi, spec) == pytest.approx([0.0, 2.0], abs=1e-12)
-    s = 1.3
-    assert cd.fresnel_point(s, spec) == pytest.approx([np.sin(s), 1 - np.cos(s)], abs=1e-12)
+    nodes = cd.sample_analytic(spec, 9).nodes
+    assert nodes[4] == pytest.approx([0.0, 2.0], abs=1e-12)
+    s = np.linspace(0.0, 2 * np.pi, 9)
+    assert nodes == pytest.approx(np.column_stack([np.sin(s), 1 - np.cos(s)]), abs=1e-12)
 
 
 def test_fresnel_rotation_translation():
     base = cd.FresnelFamily(c1=1.0, c2=0.0, s_min=0.0, s_max=4.0)
     spec = cd.FresnelFamily(c1=1.0, c2=0.0, theta=np.pi / 2, v=(1.0, 1.0),
                             s_min=0.0, s_max=4.0)
-    s = 0.8
-    x, y = cd.fresnel_point(s, base)
-    assert cd.fresnel_point(s, spec) == pytest.approx([1.0 - y, 1.0 + x], abs=1e-12)
+    x, y = cd.sample_analytic(base, 16).nodes.T
+    want = np.column_stack([1.0 - y, 1.0 + x])
+    assert cd.sample_analytic(spec, 16).nodes == pytest.approx(want, abs=1e-12)
 
 
 def test_fresnel_matches_scipy_clothoid():
     spec = cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=-2.0, s_max=2.0)
     s = np.linspace(-2.0, 2.0, 97)
-    pts = np.array([cd.fresnel_point(t, spec) for t in s])
+    pts = cd.sample_analytic(spec, 97).nodes
     S, C = sps.fresnel(s)
     assert np.max(np.abs(pts - np.column_stack([C, S]))) < 1e-12
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import curvediffusion as cd
 from curvediffusion import flow
-from conftest import (FIXTURE_DIR, ellipse_curve, moved, random_smooth_curve,
+from conftest import (FIXTURE_DIR, ellipse_curve, monitor_series, moved, random_smooth_curve,
                       repeat_node_on_record, repeat_node_on_step)
 
 RNG = np.random.default_rng(20260814)
@@ -49,41 +49,49 @@ def test_velocity_unknown_kind(circle_512):
 # Single steps
 
 
+def _one_step(curve: cd.DiscreteCurve, dt: float,
+              scheme: str = cd.SEMI_IMPLICIT) -> cd.DiscreteCurve:
+    """The state after one evolve step of size dt, without redistribution."""
+    spec = cd.FlowSpec(scheme=scheme, dt=dt, t_end=dt, redistribute_every=0)
+    traj = cd.evolve(curve, spec)
+    assert traj.n_steps == 1 and traj.termination == flow.TERM_TIME_REACHED
+    return traj.snapshots[-1]
+
+
+def _auto_dt(curve: cd.DiscreteCurve, scheme: str) -> float:
+    seg = cd.segment_lengths(curve)
+    return flow._auto_step(float(seg.sum()) / seg.size, scheme)
+
+
 def test_auto_dt_scaling(circle_512):
     h = cd.length(circle_512) / 512
-    assert cd.auto_dt(circle_512, cd.EXPLICIT) == pytest.approx(h**4 / 10)
-    assert cd.auto_dt(circle_512, cd.SEMI_IMPLICIT) == pytest.approx(h**2 / 4)
+    assert flow._auto_step(h, cd.EXPLICIT) == pytest.approx(h**4 / 10)
+    assert flow._auto_step(h, cd.SEMI_IMPLICIT) == pytest.approx(h**2 / 4)
 
 
 @pytest.mark.parametrize("scheme", [cd.EXPLICIT, cd.SEMI_IMPLICIT])
 def test_step_circle_barely_moves(circle_512, scheme):
-    spec = cd.FlowSpec(scheme=scheme, dt=1e-6, t_end=1.0)
-    nxt = cd.step(circle_512, 1e-6, spec)
+    nxt = _one_step(circle_512, _auto_dt(circle_512, scheme), scheme)
     assert np.max(np.abs(nxt.nodes - circle_512.nodes)) < 1e-8
 
 
 def test_step_explicit_preserves_lemniscate_area():
     crv = cd.sample_analytic(cd.Lemniscate(), 256)
     dt = (cd.length(crv) / 256) ** 4 / 10
-    nxt = cd.step(crv, dt, cd.FlowSpec(scheme=cd.EXPLICIT, dt=dt, t_end=1.0))
+    nxt = _one_step(crv, dt, cd.EXPLICIT)
     assert abs(cd.signed_area(nxt)) < 1e-9
 
 
 def test_step_semi_implicit_shrinks_ellipse():
     crv = cd.resample_uniform(ellipse_curve(256), 256)
-    nxt = cd.step(crv, 1e-5, cd.FlowSpec(dt=1e-5, t_end=1.0))
+    nxt = _one_step(crv, 1e-5)
     assert cd.length(nxt) < cd.length(crv)
-
-
-def test_step_rejects_bad_dt(circle_512):
-    with pytest.raises(ValueError):
-        cd.step(circle_512, 0.0, cd.FlowSpec(t_end=1.0))
 
 
 def test_step_overflow_raises(lemniscate_512):
     spec = cd.FlowSpec(scheme=cd.EXPLICIT, dt=1e308, t_end=1.0)
     with pytest.raises(cd.NonFinite):
-        cd.step(lemniscate_512, 1e308, spec)
+        flow._advance(lemniscate_512, cd.curve_fields(lemniscate_512), 1e308, spec)
 
 
 @pytest.mark.parametrize(
@@ -94,6 +102,7 @@ def test_step_overflow_raises(lemniscate_512):
         {"t_end": 0.0},
         {"dt": -1e-6},
         {"redistribute_every": -1},
+        {"dt": 0.0},
     ],
 )
 def test_flow_spec_validation(kwargs):
@@ -162,8 +171,8 @@ def _dense_imex_step(curve: cd.DiscreteCurve, dt: float) -> np.ndarray:
 @pytest.mark.parametrize("name", ["lemniscate_512", "clothoid_512"])
 def test_semi_implicit_step_matches_dense_formula(name, request):
     crv = request.getfixturevalue(name)
-    dt = cd.auto_dt(crv, cd.SEMI_IMPLICIT)
-    got = cd.step(crv, dt, cd.FlowSpec(dt=dt, t_end=1.0)).nodes
+    dt = _auto_dt(crv, cd.SEMI_IMPLICIT)
+    got = _one_step(crv, dt).nodes
     assert np.max(np.abs(got - _dense_imex_step(crv, dt))) <= 1e-9
 
 
@@ -188,10 +197,9 @@ def _small_curve(closed: bool) -> cd.DiscreteCurve:
 )
 def test_step_equivariant_under_rigid_motion(closed, scheme, angle, shift):
     crv = _small_curve(closed)
-    dt = cd.auto_dt(crv, scheme)
-    spec = cd.FlowSpec(scheme=scheme, dt=dt, t_end=1.0)
-    got = cd.step(moved(crv, angle, shift), dt, spec).nodes
-    want = moved(cd.step(crv, dt, spec), angle, shift).nodes
+    dt = _auto_dt(crv, scheme)
+    got = _one_step(moved(crv, angle, shift), dt, scheme).nodes
+    want = moved(_one_step(crv, dt, scheme), angle, shift).nodes
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -202,10 +210,9 @@ def test_step_equivariant_under_rigid_motion(closed, scheme, angle, shift):
 def test_step_equivariant_under_scaling(closed, scheme, rho):
     # kappa_ss scales as rho^-3 and c = dt / h^4 is scale-free under dt -> rho^4 dt.
     crv = _small_curve(closed)
-    dt = cd.auto_dt(crv, scheme)
-    got = cd.step(moved(crv, scale=rho), rho**4 * dt,
-                  cd.FlowSpec(scheme=scheme, dt=rho**4 * dt, t_end=1.0)).nodes
-    want = rho * cd.step(crv, dt, cd.FlowSpec(scheme=scheme, dt=dt, t_end=1.0)).nodes
+    dt = _auto_dt(crv, scheme)
+    got = _one_step(moved(crv, scale=rho), rho**4 * dt, scheme).nodes
+    want = rho * _one_step(crv, dt, scheme).nodes
     assert np.max(np.abs(got - want)) <= 1e-12 * rho
 
 
@@ -222,10 +229,9 @@ def test_step_commutes_with_reversal(scheme, closed, seed, c1, c2):
         crv = random_smooth_curve(np.random.default_rng(seed), 64)
     else:
         crv = cd.sample_analytic(cd.FresnelFamily(c1=c1, c2=c2, s_min=-1.0, s_max=1.0), 64)
-    dt = cd.auto_dt(crv, scheme)
-    spec = cd.FlowSpec(scheme=scheme, dt=dt, t_end=1.0)
-    got = cd.step(crv.reversed(), dt, spec).nodes
-    want = cd.step(crv, dt, spec).reversed().nodes
+    dt = _auto_dt(crv, scheme)
+    got = _one_step(crv.reversed(), dt, scheme).nodes
+    want = _one_step(crv, dt, scheme).reversed().nodes
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -240,7 +246,7 @@ def _failing_solver(*args, **kwargs):
 def test_banded_solve_failure_raises(clothoid_512, monkeypatch):
     monkeypatch.setattr(flow, "_solve_banded", _failing_solver)
     with pytest.raises(cd.SolveFailure):
-        cd.step(clothoid_512, 1e-6, cd.FlowSpec(dt=1e-6, t_end=1.0))
+        flow._advance(clothoid_512, cd.curve_fields(clothoid_512), 1e-6, cd.FlowSpec(dt=1e-6))
 
 
 def test_evolve_reports_solve_failure(clothoid_512, monkeypatch):
@@ -345,9 +351,10 @@ def _perturbed_circle(n: int = 256) -> cd.DiscreteCurve:
 
 
 def test_envelope_is_sharp_in_practice():
-    # Drive raw steps: at the envelope a noisy circle stays uniformly
-    # spaced for 100 steps, at 8x the grid collapses (observed min
-    # spacing 1.7e-3 against h = 2.5e-2) even before anything overflows.
+    # Drive raw steps, past the envelope evolve enforces: at the envelope a
+    # noisy circle stays uniformly spaced for 100 steps, at 8x the grid
+    # collapses (observed min spacing 1.7e-3 against h = 2.5e-2) even before
+    # anything overflows.
     outcomes = {}
     for mult in (1.0, 8.0):
         crv = _perturbed_circle()
@@ -357,7 +364,7 @@ def test_envelope_is_sharp_in_practice():
         blew_up = False
         for _ in range(100):
             try:
-                crv = cd.step(crv, dt, spec)
+                crv = flow._advance(crv, cd.curve_fields(crv), dt, spec)
             except (cd.NonFinite, cd.NonRegular):
                 blew_up = True
                 break
@@ -527,6 +534,54 @@ def test_imex_solve_rows_equal_single_solves():
         np.testing.assert_array_equal(shared[i], flow._imex_solve(rhs[0], c[i], True))
 
 
+def _controlled_step(curve: cd.DiscreteCurve, dt: float):
+    """The extrapolated step every default closed run takes: (nodes, estimate)."""
+    new, err = flow._extrapolated_step(curve, cd.curve_fields(curve), dt, cd.FlowSpec())
+    return new.nodes, err
+
+
+# The N=64 lemniscate at dt = h^2/4. Largest gaps seen over random draws:
+# nodes 8.0e-15 (rigid motion), 2.2e-15 rho (scaling) and 2.0e-15
+# (reversal); estimates 9.6e-12, 2.4e-12 and 2.3e-13 relative.
+_LEMNISCATE_64 = cd.sample_analytic(cd.Lemniscate(), 64)
+_LEMNISCATE_64_DT = _auto_dt(_LEMNISCATE_64, cd.SEMI_IMPLICIT)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    angle=st.floats(0.0, 2 * np.pi),
+    shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+)
+def test_controlled_step_equivariant_under_rigid_motion(angle, shift):
+    crv, dt = _LEMNISCATE_64, _LEMNISCATE_64_DT
+    got, got_err = _controlled_step(moved(crv, angle, shift), dt)
+    want, want_err = _controlled_step(crv, dt)
+    assert np.max(np.abs(got - moved(cd.DiscreteCurve(want, True), angle, shift).nodes)) <= 1e-12
+    assert got_err == pytest.approx(want_err, rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rho=st.floats(0.25, 4.0))
+def test_controlled_step_equivariant_under_scaling(rho):
+    # The estimate is relative to the length, so it is scale-free too.
+    crv, dt = _LEMNISCATE_64, _LEMNISCATE_64_DT
+    got, got_err = _controlled_step(moved(crv, scale=rho), rho**4 * dt)
+    want, want_err = _controlled_step(crv, dt)
+    assert np.max(np.abs(got - rho * want)) <= 1e-13 * rho
+    assert got_err == pytest.approx(want_err, rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_controlled_step_commutes_with_reversal(seed):
+    crv = random_smooth_curve(np.random.default_rng(seed), 64)
+    dt = _auto_dt(crv, cd.SEMI_IMPLICIT)
+    got, got_err = _controlled_step(crv.reversed(), dt)
+    want, want_err = _controlled_step(crv, dt)
+    assert np.max(np.abs(got - cd.DiscreteCurve(want, True).reversed().nodes)) <= 1e-13
+    assert got_err == pytest.approx(want_err, rel=1e-9)
+
+
 def test_controlled_lemniscate_length_near_extinction():
     # t = 0.04 is 96 % of the lifespan 1/24: the h^2/4 step was 11.1 % off
     # the exact length here, step doubling +0.30 %, the three-row table -0.30 %.
@@ -564,7 +619,7 @@ def test_controlled_step_below_floor_stops(lemniscate_512, monkeypatch):
         r"\(last kept state: step 0, t = 0\.0\)", traj.termination_detail)
     assert match is not None, traj.termination_detail
     dt, floor, err = map(float, match.groups())
-    first_dt = flow.auto_dt(traj.snapshots[0], cd.SEMI_IMPLICIT)
+    first_dt = _auto_dt(traj.snapshots[0], cd.SEMI_IMPLICIT)
     assert floor == pytest.approx(flow.AUTO_DT_FLOOR * first_dt, rel=1e-12)
     assert dt == pytest.approx(0.2**9 * first_dt, rel=1e-12)
     assert err > 0.0
@@ -632,12 +687,14 @@ def test_fit_scale_needs_three_snapshots():
 
 def test_fit_scale_equals_regression_on_snapshot_lengths():
     traj = cd.evolve(ellipse_curve(128), cd.FlowSpec(t_end=1e-3, dt=2e-5, snapshot_every=5))
-    t = traj.times
+    tau = traj.times / traj.times[-1]
     lengths = np.array([cd.length(c) for c in traj.snapshots])
     y = (lengths / lengths[0]) ** 4 - 1.0
-    k = float(np.sum(t * y) / (4.0 * np.sum(t * t)))
-    rms = float(np.sqrt(np.mean((1.0 + 4.0 * k * t - (1.0 + y)) ** 2)))
-    assert cd.fit_scale_profile(traj) == cd.ScaleFit(rho=1.0, K=k, rms_residual=rms)
+    k = float(np.sum(tau * y) / (4.0 * np.sum(tau * tau)))
+    rms = float(np.sqrt(np.mean((1.0 + 4.0 * k * tau - (1.0 + y)) ** 2)))
+    fit = cd.fit_scale_profile(traj)
+    assert fit == cd.ScaleFit(rho=1.0, K=k / float(traj.times[-1]), rms_residual=rms)
+    assert type(fit.K) is float and type(fit.rms_residual) is float
 
 
 # ---------------------------------------------------------------------------
@@ -682,13 +739,13 @@ def _series_bytes(series):
 ], ids=["lemniscate", "clothoid", "length_min"])
 def test_evolve_monitors_equal_monitor_curves(curve, spec, termination):
     # Bit equality, NaN positions included: evolve's rows come from the same
-    # field records that monitor_curves rebuilds from the snapshots.
+    # field records that are rebuilt here from the snapshots.
     traj = cd.evolve(curve, spec)
     assert traj.termination == termination
     assert traj.n_steps > 2 * spec.redistribute_every
     assert traj.termination_detail is None  # set on failure stops only
     assert _series_bytes(traj.monitors) == _series_bytes(
-        cd.monitor_curves(traj.times, traj.snapshots))
+        monitor_series(traj.times, traj.snapshots))
 
 
 @pytest.mark.parametrize("redistribute_every", [10, 0])
@@ -700,8 +757,12 @@ def test_evolve_computes_fields_once_per_state(monkeypatch, redistribute_every):
         calls.append(curve)
         return real(curve)
 
-    def unexpected(*args):
-        raise AssertionError("evolve re-derives geometry it already has")
+    chord_passes = []
+    real_chords = flow.segment_lengths
+
+    def counted_chords(curve):
+        chord_passes.append(curve)
+        return real_chords(curve)
 
     attempts = []
     real_attempt = flow._extrapolated_step
@@ -712,16 +773,19 @@ def test_evolve_computes_fields_once_per_state(monkeypatch, redistribute_every):
 
     monkeypatch.setattr(flow, "curve_fields", counted)
     monkeypatch.setattr(flow, "_extrapolated_step", counted_attempt)
-    monkeypatch.setattr(flow, "segment_lengths", unexpected)
-    monkeypatch.setattr(flow, "auto_dt", unexpected)
+    monkeypatch.setattr(flow, "segment_lengths", counted_chords)
     # The controlled step also holds the intermediate states of its table,
     # one half-step and two third-step states, three more records per
     # attempt; a fixed dt makes no attempts.
+    # The h^4 range check on the input is evolve's one chord pass.
     for dt in (None, 2e-4):
         calls.clear()
         attempts.clear()
+        chord_passes.clear()
         spec = cd.FlowSpec(dt=dt, t_end=1e-2, redistribute_every=redistribute_every)
-        traj = cd.evolve(cd.sample_analytic(cd.Lemniscate(), 128), spec)
+        start = cd.sample_analytic(cd.Lemniscate(), 128)
+        traj = cd.evolve(start, spec)
+        assert chord_passes == [start]
         assert traj.termination == flow.TERM_TIME_REACHED
         assert traj.n_steps > 2 * spec.redistribute_every
         assert len(attempts) >= traj.n_steps if dt is None else not attempts

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import curvediffusion as cd
+from curvediffusion import geometry
 from conftest import ellipse_curve, moved, random_smooth_curve
 
 RNG = np.random.default_rng(20260814)
@@ -299,7 +300,7 @@ def test_fields_rigid_motion_invariance(lemniscate_512):
 
 def test_arc_derivative_of_position_is_unit_tangent(lemniscate_512):
     f = cd.curve_fields(lemniscate_512)
-    d = cd.arc_derivative(lemniscate_512, lemniscate_512.nodes)
+    d = geometry._d_ds(lemniscate_512.nodes, f.speed, True)
     assert d == pytest.approx(f.tangent, abs=1e-14)
 
 
@@ -384,7 +385,7 @@ def test_fields_bit_equal_to_roll_formulas(name, crv):
     rng = np.random.default_rng(crv.n)
     for values in (rng.normal(size=crv.n), rng.normal(size=(crv.n, 2))):
         ref = _roll_d_ds(values, want["speed"], crv.closed)
-        assert np.array_equal(cd.arc_derivative(crv, values), ref), name
+        assert np.array_equal(geometry._d_ds(values, got.speed, crv.closed), ref), name
 
     if crv.closed:
         nu_s = _roll_d_ds(want["normal"], want["speed"], True)
@@ -523,9 +524,12 @@ def test_resample_too_few_targets():
 
 
 def test_osculating_disc_radius(circle_512):
-    disc = cd.osculating_disc(circle_512, 17)
-    assert disc.radius == pytest.approx(1.0, abs=1e-3)
-    assert np.hypot(*disc.center) < 1e-3
+    # The discs osculating_discs_nested compares: centre gamma + nu / kappa,
+    # radius 1 / |kappa|.
+    f = cd.curve_fields(circle_512)
+    centers = circle_512.nodes + f.normal / f.kappa[:, None]
+    assert 1.0 / np.abs(f.kappa) == pytest.approx(np.ones(512), abs=1e-3)
+    assert np.hypot(centers[:, 0], centers[:, 1]).max() < 1e-3
 
 
 def test_nested_discs_clothoid(clothoid_512):

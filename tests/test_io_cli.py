@@ -12,6 +12,8 @@ import os
 import re
 import subprocess
 import sys
+import types
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 import curvediffusion as cd
 from curvediffusion import analytic, cli, curve_io, flow
-from conftest import ellipse_curve, moved, repeat_node_on_step
+from conftest import ellipse_curve, monitor_series, moved, repeat_node_on_step
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +284,7 @@ def test_csv_reader_takes_bulk_pass_on_writer_files(monkeypatch, tmp_path, lemni
 
 
 def test_monitors_csv_format(circle_512):
-    m = cd.monitor_curves([0.0, 0.5], [circle_512, circle_512])
+    m = monitor_series([0.0, 0.5], [circle_512, circle_512])
     lines = curve_io.monitors_to_csv(m).splitlines()
     assert lines[0] == "t,L,A,I,Q,diss"
     row = lines[1].split(",")
@@ -294,16 +296,21 @@ def test_monitors_csv_format(circle_512):
 
 def test_monitors_csv_blank_when_undefined(lemniscate_512, clothoid_512):
     # Figure eight: area defined (zero), ratio blank. Open arc: both blank.
-    m8 = cd.monitor_curves([0.0], [lemniscate_512])
+    m8 = monitor_series([0.0], [lemniscate_512])
     row = curve_io.monitors_to_csv(m8).splitlines()[1].split(",")
     assert row[3] == "" and row[2] != ""
-    mo = cd.monitor_curves([0.0], [clothoid_512])
+    mo = monitor_series([0.0], [clothoid_512])
     row = curve_io.monitors_to_csv(mo).splitlines()[1].split(",")
     assert row[2] == "" and row[3] == ""
 
 
 # ---------------------------------------------------------------------------
 # SVG
+
+
+def _svg(curve: cd.DiscreteCurve) -> str:
+    """The SVG text write_run_directory writes for a snapshot."""
+    return curve_io._svg_text(curve, curve_io._node_rows(curve))
 
 
 def _viewbox(svg: str) -> list[float]:
@@ -314,20 +321,20 @@ def _viewbox(svg: str) -> list[float]:
 
 def test_svg_viewbox_margin():
     crv = cd.sample_analytic(cd.Circle(1.0), 256)
-    svg = curve_io.curve_to_svg(crv)
+    svg = _svg(crv)
     # Bounding box [-1, 1]^2 plus a 5% margin on each side.
     assert _viewbox(svg) == pytest.approx([-1.1, -1.1, 2.2, 2.2], abs=1e-12)
 
 
 def test_svg_single_closed_path(circle_512):
-    svg = curve_io.curve_to_svg(circle_512)
+    svg = _svg(circle_512)
     assert svg.count("<path") == 1
     assert 'fill="none"' in svg
     assert re.search(r'd="M [^"]*Z"', svg)
 
 
 def test_svg_open_path_has_no_closepath(clothoid_512):
-    svg = curve_io.curve_to_svg(clothoid_512)
+    svg = _svg(clothoid_512)
     assert "Z" not in re.search(r'd="([^"]*)"', svg).group(1)
 
 
@@ -336,7 +343,7 @@ def test_svg_path_is_csv_rows_under_y_flip(closed, circle_512, clothoid_512):
     for curve in (cd.DiscreteCurve(_edge_nodes(), closed=closed),
                   circle_512 if closed else clothoid_512):
         with np.errstate(over="ignore", invalid="ignore"):  # the edge viewBox overflows
-            svg = curve_io.curve_to_svg(curve)
+            svg = _svg(curve)
         body = curve_io.curve_to_csv(curve).partition("\nx,y\n")[2]
         data = "M " + body + ("Z" if closed else "")
         assert f' d="{data}" ' in svg
@@ -411,7 +418,7 @@ def test_curve_writers_match_reference(closed):
     curve = cd.DiscreteCurve(_edge_nodes(), closed=closed)
     assert curve_io.curve_to_csv(curve) == _reference_curve_csv(curve)
     with np.errstate(over="ignore", invalid="ignore"):  # the viewBox overflows
-        assert curve_io.curve_to_svg(curve) == _reference_svg(curve)
+        assert _svg(curve) == _reference_svg(curve)
 
 
 @pytest.mark.parametrize("closed", [True, False])
@@ -428,7 +435,7 @@ def test_svg_matches_reference_on_non_finite_nodes(closed):
     nodes[-1] = [nan, -inf]
     curve = cd.DiscreteCurve(nodes, closed=closed)
     with np.errstate(over="ignore", invalid="ignore"):  # the viewBox overflows
-        assert curve_io.curve_to_svg(curve) == _reference_svg(curve)
+        assert _svg(curve) == _reference_svg(curve)
     assert curve_io.curve_to_csv(curve) == _reference_curve_csv(curve)
 
 
@@ -456,9 +463,9 @@ def test_svg_matches_reference_on_ordinary_curve(closed, circle_512, clothoid_51
     # The edge values above overflow the viewBox; these curves keep it finite,
     # and a one-point curve takes the unit pad.
     curve = circle_512 if closed else clothoid_512
-    assert curve_io.curve_to_svg(curve) == _reference_svg(curve)
+    assert _svg(curve) == _reference_svg(curve)
     single = cd.DiscreteCurve(np.array([[1.5, -0.0], [1.5, -0.0]]), closed=closed)
-    assert curve_io.curve_to_svg(single) == _reference_svg(single)
+    assert _svg(single) == _reference_svg(single)
 
 
 def test_monitors_csv_matches_reference():
@@ -845,6 +852,53 @@ def test_cli_evolve_input_path_and_no_fit(tmp_path):
     assert "K" not in result
 
 
+_CLOTHOID = cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=-1.0, s_max=1.0)
+
+
+def _evolve_scaled(tmp_path, spec, scale, t_end):
+    """Exit code and stderr of `evolve` on spec's 256-node sample scaled by
+    `scale`, read from a CSV, with numpy warnings raised as errors."""
+    curve = cd.sample_analytic(spec, 256)
+    curve_io.write_curve_csv(cd.DiscreteCurve(scale * curve.nodes, curve.closed),
+                             tmp_path / "curve.csv")
+    config = {"input": {"path": str(tmp_path / "curve.csv")},
+              "flow": {"t_end": t_end, "snapshot_every": 1}, "out_dir": str(tmp_path / "run")}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _run_cli(["evolve", str(cfg_path)])
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e-60])
+def test_cli_evolve_runs_at_extreme_scales(tmp_path, scale):
+    # Time scales like length^4: t_end 1e-3 scale^4 is 1e237 at 1e60, where
+    # the scale fit regressed on t * t overflowed.
+    code, err = _evolve_scaled(tmp_path, cd.Circle(), scale, 1e-3 * scale**4)
+    assert (code, err) == (0, "")
+    result = json.loads((tmp_path / "run" / "result.json").read_text())
+    assert result["termination"] == "time_reached"
+    if scale > 1.0:
+        assert math.isfinite(result["K"])
+
+
+@pytest.mark.parametrize("spec, scale", [
+    *((cd.Circle(), scale) for scale in (1e100, 1e-100, 1e120, 1e-120)),
+    (_CLOTHOID, 1e100), (_CLOTHOID, 1e-100),
+], ids=lambda v: f"{v:g}" if isinstance(v, float) else type(v).__name__)
+def test_cli_evolve_refuses_h4_outside_the_double_range(tmp_path, spec, scale):
+    # Before, these raised OverflowError from dt / h**4, or a numpy overflow or
+    # divide-by-zero warning in the fields, the solve or the dissipation.
+    code, err = _evolve_scaled(tmp_path, spec, scale, 1e-3)
+    assert code == 2
+    match = re.fullmatch(r"error: mean node spacing h = (\S+) puts h\^4 outside the normal "
+                         r"double range; rescale the curve\n", err)
+    assert match is not None, err
+    seg = cd.segment_lengths(cd.sample_analytic(spec, 256))
+    assert float(match.group(1)) == pytest.approx(scale * seg.mean(), rel=1e-3)
+    assert not (tmp_path / "run").exists()
+
+
 def _naming(named, mutate):
     """mutate, tagged with the text its error message must contain (the
     test id stays the function's name)."""
@@ -861,7 +915,7 @@ def _assert_evolve_rejects(tmp_path, mutate):
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     code, err = _run_cli(["evolve", str(cfg_path)])
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and not _TRACEBACK.search(err)
     assert mutate.named in err
     assert not (tmp_path / "run").exists()
 
@@ -950,7 +1004,7 @@ _HUGE_INT = 10**400  # 401 digits: a valid JSON number too large for a double
 def test_cli_rejects_non_finite_numbers(tmp_path, argv, named):
     code, err = _run_cli(argv(tmp_path))
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and not _TRACEBACK.search(err)
     # Rejected up front by name, not by a later numerical failure.
     assert named in err and "finite" in err
     assert not (tmp_path / "run").exists() and not (tmp_path / "circle.csv").exists()
@@ -1022,6 +1076,11 @@ def _wrongly_typed_config(draw):
     return config
 
 
+# The first line of a traceback. It is matched at the start of a line, so an
+# error message that echoes a drawn "Traceback" back is not taken for one.
+_TRACEBACK = re.compile(r"^Traceback \(most recent call last\)", re.MULTILINE)
+
+
 def _run_cli(argv) -> tuple[int, str]:
     """Exit code and stderr of one in-process CLI call; stdout is discarded."""
     err = io.StringIO()
@@ -1039,7 +1098,7 @@ def test_cli_evolve_fuzz_wrong_types(tmp_path_factory, config):
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     code, err = _run_cli(["evolve", str(cfg_path)])
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and not _TRACEBACK.search(err)
     assert not (cfg_path.parent / "run").exists()
 
 
@@ -1086,7 +1145,7 @@ def test_cli_check_fuzz_text(tmp_path_factory, text):
     path.write_text(text, encoding="utf-8")
     code, err = _run_cli(["check", str(path)])
     assert code in (0, 1, 2)
-    assert "Traceback" not in err
+    assert not _TRACEBACK.search(err)
 
 
 def test_cli_evolve_config_not_json(tmp_path, capsys):
@@ -1143,7 +1202,7 @@ def test_cli_rejects_out_of_range_values(tmp_path, fixture_dir, monkeypatch, arg
     out = tmp_path / "out.json"
     code, err = _run_cli(argv + ["--json", str(out)])
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and not _TRACEBACK.search(err)
     assert not out.exists()
 
 
@@ -1274,6 +1333,33 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["T_star"] == pytest.approx(
         1.6040597272944278e-4, rel=1e-12
     )
+
+
+# The public names of the package. README's Library section gives the rule
+# a name is kept by; a change to this list is a change to the public surface.
+_PUBLIC_NAMES = [
+    "AmbiguousTurning", "AnalyticCurveSpec", "CURVE_DIFFUSION", "Circle",
+    "CurveDiffusionError", "CurveFields", "CurveJet", "DegenerateGeometry", "DiscreteCurve",
+    "DomainError", "ELASTIC", "EXPLICIT", "FlowSpec", "FresnelFamily", "HypothesisViolated",
+    "Lemniscate", "LifespanBounds", "Line", "MonitorSeries", "NonFinite", "NonRegular",
+    "OpenCurve", "QuadratureFailure", "RotatorFit", "SEMI_IMPLICIT", "ScaleFit",
+    "ShrinkerFit", "SolitonReport", "SolveFailure", "StationaryFit", "TooFewNodes",
+    "TooFewSnapshots", "Trajectory", "TranslatorFit", "Undefined", "classify",
+    "curvature_energy_identity", "curve_fields", "curve_from_csv", "curve_to_csv",
+    "elliptic_K", "evolve", "fit_rotator", "fit_scale_profile", "fit_shrinker",
+    "fit_stationary", "fit_translator", "frame_position_identity", "hausdorff_distance",
+    "isoperimetric_decay_check", "lemniscate_point", "length", "monitors_to_csv",
+    "normal_flux_identity", "normal_velocity", "normalize_shape", "osculating_discs_nested",
+    "read_curve_csv", "report_to_dict", "resample_uniform", "sample_analytic",
+    "segment_lengths", "signed_area", "spec_from_dict", "spec_to_dict", "time_bounds",
+    "winding_number", "write_curve_csv", "write_monitors_csv", "write_run_directory",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(name for name, value in vars(cd).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == _PUBLIC_NAMES
 
 
 _SCIPY_PROBE = """

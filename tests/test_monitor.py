@@ -6,7 +6,8 @@ import pytest
 import scipy.special as sps
 
 import curvediffusion as cd
-from conftest import ellipse_curve
+from curvediffusion import monitor
+from conftest import ellipse_curve, monitor_series
 
 # Exact perimeter of the (1, 0.5) ellipse via the complete elliptic
 # integral of the second kind; I = L^2 / (4 pi A) with A = pi/2.
@@ -15,36 +16,33 @@ ELLIPSE_I = ELLIPSE_L**2 / (4.0 * np.pi * (np.pi / 2.0))
 
 
 # ---------------------------------------------------------------------------
-# Pointwise monitors
+# Pointwise monitors: one row (L, A, I, diss) of a monitor series
+
+
+def _row(curve):
+    return monitor._row(curve, cd.curve_fields(curve))
 
 
 def test_isoperimetric_circle(circle_512):
     crv = cd.sample_analytic(cd.Circle(1.0), 256)
-    assert cd.isoperimetric_ratio(crv) == pytest.approx(1.0, abs=1e-4)
-    assert cd.isoperimetric_ratio(circle_512) >= 1.0 - 1e-12
+    assert _row(crv)[2] == pytest.approx(1.0, abs=1e-4)
+    assert _row(circle_512)[2] >= 1.0 - 1e-12
 
 
 def test_isoperimetric_ellipse_value():
     crv = ellipse_curve(1024)
-    assert cd.isoperimetric_ratio(crv) == pytest.approx(ELLIPSE_I, abs=1e-4)
+    assert _row(crv)[2] == pytest.approx(ELLIPSE_I, abs=1e-4)
 
 
 def test_isoperimetric_lemniscate_undefined(lemniscate_512):
     # Signed area cancels between the two loops; the ratio is marked NaN.
-    assert np.isnan(cd.isoperimetric_ratio(lemniscate_512))
-
-
-def test_isoperimetric_open_raises(clothoid_512):
-    with pytest.raises(cd.OpenCurve):
-        cd.isoperimetric_ratio(clothoid_512)
+    assert np.isnan(_row(lemniscate_512)[2])
 
 
 def test_dissipation_values(circle_512, lemniscate_512):
-    assert cd.dissipation(circle_512) < 1e-12
+    assert _row(circle_512)[3] < 1e-12
     f = cd.curve_fields(lemniscate_512)
-    assert cd.dissipation(lemniscate_512) == pytest.approx(
-        float(np.sum(f.kappa_s**2 * f.dl))
-    )
+    assert _row(lemniscate_512)[3] == pytest.approx(float(np.sum(f.kappa_s**2 * f.dl)))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +80,7 @@ def test_lemniscate_monitors(lemniscate_512):
 
 
 def test_monitor_curves_open_curve(clothoid_512):
-    m = cd.monitor_curves([0.0], [clothoid_512])
+    m = monitor_series([0.0], [clothoid_512])
     assert np.isnan(m.A[0]) and np.isnan(m.I[0])
     assert m.L[0] == pytest.approx(cd.length(clothoid_512))
 
@@ -92,13 +90,17 @@ def test_monitor_curves_equal_single_curve_functions(ellipse_run, lemniscate_512
     # Bit equality, not approx: L must be the segment sum length() takes,
     # not the quadrature-weight sum dl.sum(), which differs in the last bits.
     curves = list(ellipse_run.snapshots) + [lemniscate_512, clothoid_512]
-    m = cd.monitor_curves(range(len(curves)), curves)
+    m = monitor_series(range(len(curves)), curves)
     closed = [c.closed for c in curves]
-    assert m.L.tolist() == [cd.length(c) for c in curves]
-    assert m.diss.tolist() == [cd.dissipation(c) for c in curves]
-    assert m.A[closed].tolist() == [cd.signed_area(c) for c in curves if c.closed]
-    assert np.array_equal(m.I[closed], [cd.isoperimetric_ratio(c) for c in curves if c.closed],
-                          equal_nan=True)
+    lengths = [cd.length(c) for c in curves]
+    areas = [cd.signed_area(c) if c.closed else np.nan for c in curves]
+    ratios = [L**2 / (4.0 * np.pi * A) if abs(A) > 1e-12 * L**2 else np.nan
+              for L, A in zip(lengths, areas)]
+    assert m.L.tolist() == lengths
+    assert m.diss.tolist() == [float(np.sum(f.kappa_s**2 * f.dl))
+                               for f in map(cd.curve_fields, curves)]
+    assert m.A[closed].tolist() == [a for a, c in zip(areas, closed) if c]
+    assert np.array_equal(m.I, ratios, equal_nan=True)
     assert np.all(np.isnan(m.A[~np.array(closed)]))
 
 

@@ -614,12 +614,12 @@ def test_open_translator_identity_window():
             cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=0.5, s_max=2.0), n
         )
         fit = cd.fit_translator(w)
-        integral, boundary = cd.open_translator_identity(w, fit.V)
+        # Along a translator with velocity V, d/ds of <V, tangent> + kappa
+        # kappa_s is kappa_s^2, so its integral is the boundary difference.
+        f = cd.curve_fields(w)
+        integral = float(np.sum(f.kappa_s**2 * f.dl))
+        flux = f.tangent @ np.asarray(fit.V) + f.kappa * f.kappa_s
+        boundary = float(flux[-1] - flux[0])
         defects.append(abs(integral - boundary) / abs(integral))
     assert defects[1] < 5e-3
     assert defects[0] / defects[1] > 3.0  # second-order decay
-
-
-def test_open_translator_identity_rejects_closed(circle_512):
-    with pytest.raises(cd.OpenCurve):
-        cd.open_translator_identity(circle_512, (0.0, 0.0))
