@@ -2,8 +2,17 @@
 
 A curve is an ordered list of planar nodes with a closed/open flag and an
 implicit uniform parameter: node i sits at u_i = i * du. Closed curves
-never repeat the first node; their stencils are slices of one copy of a
-field padded with its last row in front and its first row behind.
+never repeat the first node; their stencils are slices along the node axis
+of one copy of a field padded with its last row in front and its first row
+behind.
+
+The field kernel _fields also takes a stack (B, N, 2) of closed curves: a
+flow step records the states of its table rows with one call. Stencils of a
+closed field index its node axis, the second to last of a vector field; a
+per-node scalar rides a trailing length-1 axis through them. Row i of a
+stack's record is bit-equal to curve_fields of curve i. Open curves are
+never stacked: their one-sided end rows take node rows 0 and -1 of an (N,)
+or (N, k) field, so that a scalar's end rows are numpy scalar arithmetic.
 
 All derivatives are second-order finite differences in the parameter u,
 converted to arc-length derivatives with the chain rule (divide by the
@@ -99,6 +108,9 @@ class CurveFields:
     dl : (N,) arc-length quadrature weights; dl.sum() equals the
         polygonal length of the curve.
     s : (N,) cumulative arc length from node 0 (chord-length based).
+
+    The record of a stack of closed curves (_fields) has a leading row axis
+    on the seven arrays; length, dl and s are those of single records only.
     """
 
     tangent: np.ndarray
@@ -128,22 +140,26 @@ class CurveFields:
 
 
 def _wrap(f: np.ndarray, closed: bool) -> np.ndarray:
-    """A per-node field laid out for the stencils. On a closed curve its last
-    row is prepended and its first row appended, so that f[2:], f[1:-1] and
-    f[:-2] are the next, own and previous rows of every node; on an open
-    curve it is returned as it is."""
-    return np.concatenate([f[-1:], f, f[:1]]) if closed else f
+    """A per-node field laid out for the stencils. On a closed curve, f is
+    (..., N, k), and its last node row is prepended and its first appended,
+    so that f[..., 2:, :], f[..., 1:-1, :] and f[..., :-2, :] are the next,
+    own and previous rows of every node; on an open curve it is returned as
+    it is."""
+    return np.concatenate([f[..., -1:, :], f, f[..., :1, :]], axis=-2) if closed else f
 
 
 def _d_du(f: np.ndarray, closed: bool, second: bool = False):
     """Second-order d/du of a field given as _wrap returns it, and with
     second=True the pair (d/du, d2/du2). Stencils are central, one-sided at
-    the two end rows of an open curve; u spans 2 pi closed and 1 open."""
-    ahead, behind = f[2:], f[:-2]
-    d1 = ahead - behind
-    d2 = ahead - 2.0 * f[1:-1] + behind if second else None
+    the two end rows of an open field; u spans 2 pi closed and 1 open."""
     if closed:
-        du = 2.0 * np.pi / d1.shape[0]
+        ahead, own, behind = f[..., 2:, :], f[..., 1:-1, :], f[..., :-2, :]
+    else:
+        ahead, own, behind = f[2:], f[1:-1], f[:-2]
+    d1 = ahead - behind
+    d2 = ahead - 2.0 * own + behind if second else None
+    if closed:
+        du = 2.0 * np.pi / d1.shape[-2]
     else:
         du = 1.0 / (f.shape[0] - 1)
         d1 = np.concatenate([[-3.0 * f[0] + 4.0 * f[1] - f[2]], d1,
@@ -159,10 +175,13 @@ def _d_du(f: np.ndarray, closed: bool, second: bool = False):
 
 
 def _d_ds(values: np.ndarray, speed: np.ndarray, closed: bool) -> np.ndarray:
-    """Arc-length derivative of a per-node scalar or vector field: the
-    parameter stencil of _d_du divided by the local speed |gamma_u|."""
-    d = _d_du(_wrap(values, closed), closed)
-    return d / speed if d.ndim == 1 else d / speed[:, None]
+    """Arc-length derivative of a per-node scalar (..., N) or vector
+    (..., N, k) field: the parameter stencil of _d_du divided by the local
+    speed |gamma_u|, (..., N). Leading axes are a closed stack's rows."""
+    if values.ndim == speed.ndim:
+        d = _d_du(_wrap(values[..., None], True), True)[..., 0] if closed else _d_du(values, False)
+        return d / speed
+    return _d_du(_wrap(values, closed), closed) / speed[..., None]
 
 
 def segment_lengths(curve: DiscreteCurve) -> np.ndarray:
@@ -177,10 +196,15 @@ def segment_lengths(curve: DiscreteCurve) -> np.ndarray:
 def _require_regular(seg: np.ndarray, exp: int = 0) -> np.ndarray:
     """Return seg once every chord length and their sum are finite and every
     chord is above the regularity floor. seg may be the chords scaled by
-    2**-exp; a message then gives them in the curve's units."""
+    2**-exp; a message then gives them in the curve's units. A stack (B, N)
+    of chord rows is checked row by row: the first row that fails raises
+    what it would raise alone."""
     with np.errstate(over="ignore"):
-        total = seg.sum()
-    floor = REGULARITY_FACTOR * (total / seg.size)
+        total = seg.sum(axis=-1)
+    floor = REGULARITY_FACTOR * (total / seg.shape[-1])
+    if seg.ndim > 1:
+        bad = np.flatnonzero(~(seg.min(axis=-1) > floor))
+        return _require_regular(seg[bad[0]], exp) if bad.size else seg
     if not math.isfinite(floor):
         raise NonRegular(f"segment lengths are non-finite (their sum is {total})")
     if seg.min() <= floor:
@@ -248,23 +272,35 @@ def curve_fields(curve: DiscreteCurve) -> CurveFields:
         raise TooFewNodes(
             f"curve_fields needs at least {MIN_NODES_FIELDS} nodes, got {curve.n}"
         )
-    closed = curve.closed
-    f = _wrap(curve.nodes, closed)
+    return _fields(curve.nodes, curve.closed)
+
+
+def _fields(nodes: np.ndarray, closed: bool) -> CurveFields:
+    """The field record of the curve with these (N, 2) nodes, or, closed,
+    of a stack (B, N, 2) of curves of at least 8 nodes each: its arrays then
+    carry the leading row axis, and the row lengths are seg.sum(axis=-1). A
+    row that is not regular raises NonRegular as curve_fields of that row
+    would, node indices within it."""
+    f = _wrap(nodes, closed)
     with np.errstate(over="ignore"):
-        chord = f[2:] - f[1:-1] if closed else f[1:] - f[:-1]
-        seg = np.hypot(chord[:, 0], chord[:, 1])
+        chord = f[..., 2:, :] - f[..., 1:-1, :] if closed else f[1:] - f[:-1]
+        seg = np.hypot(chord[..., 0], chord[..., 1])
     _require_regular(seg)
 
     g_u, g_uu = _d_du(f, closed, second=True)
-    speed = np.hypot(g_u[:, 0], g_u[:, 1])
+    speed = np.hypot(g_u[..., 0], g_u[..., 1])
     if not speed.min() > 0.0:
-        node = int(np.argmin(speed))
-        raise NonRegular(f"parameter speed {speed[node]:.3e} at node {node} is not "
+        rows = speed.reshape(-1, speed.shape[-1])
+        row = rows[np.argmin(rows.min(axis=-1) > 0.0)]
+        node = int(np.argmin(row))
+        raise NonRegular(f"parameter speed {row[node]:.3e} at node {node} is not "
                          "positive: the curve folds back on itself there")
 
-    tangent = g_u / speed[:, None]
-    normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
-    cross = g_u[:, 0] * g_uu[:, 1] - g_u[:, 1] * g_uu[:, 0]
+    tangent = g_u / speed[..., None]
+    normal = np.empty_like(tangent)
+    np.negative(tangent[..., 1], out=normal[..., 0])
+    normal[..., 1] = tangent[..., 0]
+    cross = g_u[..., 0] * g_uu[..., 1] - g_u[..., 1] * g_uu[..., 0]
     kappa = cross / speed**3
     kappa_s = _d_ds(kappa, speed, closed)
     kappa_ss = _d_ds(kappa_s, speed, closed)

@@ -93,18 +93,28 @@ def repeat_node_on_step(monkeypatch, flow_module, step_number: int, onto: int = 
     monkeypatch.setattr(flow_module, "_advance", faulty)
 
 
-def repeat_node_on_record(monkeypatch, flow_module, call_number: int, onto: int = 0) -> None:
-    """Make call `call_number` of flow.curve_fields see its curve with node 1
-    moved onto node `onto`, as repeat_node_on_step does. evolve makes one
-    call per kept state (the first for the initial one), and a controlled
-    attempt one per intermediate state of its table, in stage order: the
-    first substeps of rows 2 and 3 (a half and a third), then row 3's
-    second third."""
-    real = flow_module.curve_fields
-    calls = []
+def repeat_node_on_record(monkeypatch, flow_module, record_number: int, onto: int = 0) -> None:
+    """Make field record `record_number` that evolve takes see its curve with
+    node 1 moved onto node `onto`, as repeat_node_on_step does. Records are
+    numbered in the order they are taken: one per kept state through
+    flow.curve_fields (the first for the initial one), and one per row of
+    each stacked flow._fields call of a controlled attempt, in stage and then
+    row order: the first substeps of rows 2, 3 and 4 (a half, a third and a
+    quarter), then the second substeps of rows 3 and 4, then row 4's third."""
+    real_curve, real_stack = flow_module.curve_fields, flow_module._fields
+    taken = [0]
 
-    def faulty(curve):
-        calls.append(None)
-        return real(curve if len(calls) != call_number else _node_1_onto(curve, onto))
+    def faulty_curve(curve):
+        taken[0] += 1
+        return real_curve(curve if taken[0] != record_number else _node_1_onto(curve, onto))
 
-    monkeypatch.setattr(flow_module, "curve_fields", faulty)
+    def faulty_stack(nodes, closed):
+        row = record_number - taken[0] - 1
+        taken[0] += len(nodes)
+        if 0 <= row < len(nodes):
+            nodes = nodes.copy()
+            nodes[row] = _node_1_onto(cd.DiscreteCurve(nodes[row], closed), onto).nodes
+        return real_stack(nodes, closed)
+
+    monkeypatch.setattr(flow_module, "curve_fields", faulty_curve)
+    monkeypatch.setattr(flow_module, "_fields", faulty_stack)

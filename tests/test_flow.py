@@ -1,6 +1,7 @@
 """Time stepping: schemes, stability envelope, stops, and scale fits."""
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -289,11 +290,12 @@ def test_evolve_reports_non_regular(lemniscate_512, monkeypatch):
 
 
 def test_evolve_reports_fold_back_in_a_controlled_step(lemniscate_512, monkeypatch):
-    # Record 6 is of the first half step of step 2 (record 1 is the initial
-    # state's, 2-4 are step 1's table states, 5 the state after step 1): the
-    # half state folds back at node 0, its field record fails, and the state
-    # after step 1 is the last.
-    repeat_node_on_record(monkeypatch, flow, 6, onto=-1)
+    # Record 11 is of the first quarter step of step 2 (record 1 is the
+    # initial state's, 2-7 are step 1's table states, 8 the state after step
+    # 1, and 9-11 the rows of step 2's first stacked record): the quarter
+    # state, row 3 of that stack, folds back at its node 0, its field record
+    # fails, and the state after step 1 is the last.
+    repeat_node_on_record(monkeypatch, flow, 11, onto=-1)
     traj = cd.evolve(lemniscate_512, cd.FlowSpec(t_end=1e-3, snapshot_every=1))
     assert traj.termination == flow.TERM_NON_REGULAR
     assert traj.n_steps == 1
@@ -303,7 +305,7 @@ def test_evolve_reports_fold_back_in_a_controlled_step(lemniscate_512, monkeypat
 
 
 def test_evolve_reports_non_finite_row_of_a_controlled_step(lemniscate_512, monkeypatch):
-    # Solve 2 is stage 1 of step 1, which moves rows 2 and 3; row 3's node 5
+    # Solve 2 is stage 1 of step 1, which moves rows 2-4; row 4's node 5
     # overflows. The detail names the node and its coordinates, not the row.
     real = flow._imex_solve
     calls = []
@@ -444,9 +446,10 @@ def test_elastic_circle_expands(circle_512):
 
 def test_extrapolated_step_is_third_order():
     # Self-convergence at fixed dt against a 1600-step reference, without
-    # redistribution: orders 2.39 and 2.57 here (the stiff problem is still
-    # short of its asymptotic order 3), 0.93 and 0.96 for Euler. The n=200
-    # errors are 4.2e-8 and 5.7e-5; step doubling gave 1.15e-6.
+    # redistribution: orders 2.52 and 2.58 here (the stiff problem is still
+    # short of its asymptotic order 3; T33 of the three-row table read 2.39
+    # and 2.57), 0.93 and 0.96 for Euler. The n=200 errors are 1.3e-8 and
+    # 5.7e-5; T33 gave 4.2e-8 and step doubling 1.15e-6.
     start = cd.resample_uniform(cd.sample_analytic(cd.Lemniscate(), 256), 256)
     spec = cd.FlowSpec(redistribute_every=0)
     t_end = 2e-3
@@ -470,20 +473,24 @@ def test_extrapolated_step_is_third_order():
 
 
 def _row_by_row_extrapolated_step(curve, fields, dt, spec):
-    """The three-row table one row at a time: k IMEX Euler substeps of dt/k
-    through flow._advance, six solves where flow._extrapolated_step makes three."""
+    """The four-row table one row at a time: k IMEX Euler substeps of dt/k
+    through flow._advance, ten solves where flow._extrapolated_step makes
+    four. It keeps T43 and estimates with |T43 - T33| / L."""
     rows = []
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         state = curve
         for i in range(k):
             state = flow._advance(state, cd.curve_fields(state) if i else fields, dt / k, spec)
         rows.append(state.nodes)
-    t11, t21, t31 = rows
+    t11, t21, t31, t41 = rows
     t22 = t21 + (t21 - t11)
     t32 = t31 + 2.0 * (t31 - t21)
-    diff = t32 - t22
+    t42 = t41 + 3.0 * (t41 - t31)
+    t33 = t32 + (t32 - t22) / 2.0
+    t43 = t42 + (t42 - t32)
+    diff = t43 - t33
     err = float(np.hypot(diff[:, 0], diff[:, 1]).max()) / fields.length
-    return cd.DiscreteCurve(t32 + 0.5 * diff, curve.closed), err
+    return cd.DiscreteCurve(t43, curve.closed), err
 
 
 @pytest.mark.parametrize("curve", [
@@ -494,8 +501,8 @@ def _row_by_row_extrapolated_step(curve, fields, dt, spec):
 ], ids=["lemniscate64", "lemniscate256", "lemniscate1024", "perturbed_ellipse"])
 @pytest.mark.parametrize("kind", [cd.CURVE_DIFFUSION, cd.ELASTIC])
 def test_stacked_extrapolated_step_matches_row_by_row(curve, kind):
-    # The stages change only the order of round-off: at most 2.2e-16 L apart
-    # here, and the estimates 2.7e-14 relative.
+    # The stages change only the order of round-off: at most 4.0e-16 L apart
+    # here, and the estimates 3.6e-14 relative.
     start = cd.resample_uniform(curve, curve.n)
     fields = cd.curve_fields(start)
     spec = cd.FlowSpec(kind=kind)
@@ -507,7 +514,7 @@ def test_stacked_extrapolated_step_matches_row_by_row(curve, kind):
 
 
 def test_extrapolated_step_makes_one_fft_pair_per_stage(monkeypatch):
-    # Three stages, each one rfft and one irfft; row by row it was six each.
+    # Four stages, each one rfft and one irfft; row by row it is ten each.
     counts = {"rfft": 0, "irfft": 0}
     for name in counts:
         def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
@@ -517,9 +524,9 @@ def test_extrapolated_step_makes_one_fft_pair_per_stage(monkeypatch):
     start = cd.sample_analytic(cd.Lemniscate(), 256)
     fields = cd.curve_fields(start)
     flow._extrapolated_step(start, fields, 1e-4, cd.FlowSpec())
-    assert counts == {"rfft": 3, "irfft": 3}
+    assert counts == {"rfft": 4, "irfft": 4}
     _row_by_row_extrapolated_step(start, fields, 1e-4, cd.FlowSpec())
-    assert counts == {"rfft": 9, "irfft": 9}
+    assert counts == {"rfft": 14, "irfft": 14}
 
 
 def test_imex_solve_rows_equal_single_solves():
@@ -540,9 +547,9 @@ def _controlled_step(curve: cd.DiscreteCurve, dt: float):
     return new.nodes, err
 
 
-# The N=64 lemniscate at dt = h^2/4. Largest gaps seen over random draws:
-# nodes 8.0e-15 (rigid motion), 2.2e-15 rho (scaling) and 2.0e-15
-# (reversal); estimates 9.6e-12, 2.4e-12 and 2.3e-13 relative.
+# The N=64 lemniscate at dt = h^2/4. Largest gaps seen over 200 random
+# draws: nodes 1.8e-14 (rigid motion), 5.2e-15 rho (scaling) and 4.2e-15
+# (reversal); estimates 3.8e-11, 1.5e-11 and 9.1e-13 relative.
 _LEMNISCATE_64 = cd.sample_analytic(cd.Lemniscate(), 64)
 _LEMNISCATE_64_DT = _auto_dt(_LEMNISCATE_64, cd.SEMI_IMPLICIT)
 
@@ -582,9 +589,70 @@ def test_controlled_step_commutes_with_reversal(seed):
     assert got_err == pytest.approx(want_err, rel=1e-9)
 
 
+# Whole dt: auto runs of the N=64 lemniscate to t = 1/48: 38 controlled
+# steps, 3 redistributions and 9 snapshots. Largest gaps seen over 60 random
+# draws: nodes 1.2e4 L eps (rigid motion, shifts up to 5 on a curve of
+# length 5.2) and 5.9e2 L eps (reversal, over 30 curves); times 9.8e-11 and
+# 2.7e-11 relative.
+_RUN_SPEC = cd.FlowSpec(t_end=1.0 / 48.0, snapshot_every=5)
+
+
+@functools.cache
+def _lemniscate_64_run() -> cd.Trajectory:
+    return cd.evolve(_LEMNISCATE_64, _RUN_SPEC)
+
+
+def _assert_runs_match(got, want, want_nodes, length, bound):
+    """Same step count, times within 1e-9 relative, and every snapshot's
+    nodes within bound * length * eps of want_nodes."""
+    assert got.termination == want.termination == flow.TERM_TIME_REACHED
+    assert got.n_steps == want.n_steps
+    np.testing.assert_allclose(got.times, want.times, rtol=1e-9, atol=0.0)
+    assert len(got.snapshots) == len(want_nodes)
+    for snap, nodes in zip(got.snapshots, want_nodes):
+        assert np.abs(snap.nodes - nodes).max() <= bound * length * np.finfo(float).eps
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    angle=st.floats(0.0, 2 * np.pi),
+    shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+)
+def test_controlled_run_equivariant_under_rigid_motion(angle, shift):
+    got = cd.evolve(moved(_LEMNISCATE_64, angle, shift), _RUN_SPEC)
+    want = _lemniscate_64_run()
+    _assert_runs_match(got, want, [moved(s, angle, shift).nodes for s in want.snapshots],
+                       cd.length(_LEMNISCATE_64), 1e5)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_controlled_run_commutes_with_reversal(seed):
+    crv = random_smooth_curve(np.random.default_rng(seed), 64)
+    want = cd.evolve(crv, _RUN_SPEC)
+    got = cd.evolve(crv.reversed(), _RUN_SPEC)
+    _assert_runs_match(got, want, [s.reversed().nodes for s in want.snapshots],
+                       cd.length(crv), 1e4)
+
+
+def test_controlled_lemniscate_time_error_does_not_grow(monkeypatch):
+    # The default run's end length against a run at AUTO_RTOL = 1e-9 (1282
+    # steps) on the same mesh isolates the time part of the length error:
+    # 1.45e-4 at N=256, where T33 of the three-row table read 1.54e-4 (and
+    # 1.31e-4 against 1.46e-4 at N=512, 1.30e-4 against 1.45e-4 at N=1024).
+    crv = cd.sample_analytic(cd.Lemniscate(), 256)
+    spec = cd.FlowSpec(t_end=1.0 / 48.0)
+    default = cd.evolve(crv, spec)
+    monkeypatch.setattr(flow, "AUTO_RTOL", 1e-9)
+    tight = cd.evolve(crv, spec)
+    assert default.termination == tight.termination == flow.TERM_TIME_REACHED
+    assert abs(default.monitors.L[-1] / tight.monitors.L[-1] - 1.0) <= 1.54e-4
+
+
 def test_controlled_lemniscate_length_near_extinction():
     # t = 0.04 is 96 % of the lifespan 1/24: the h^2/4 step was 11.1 % off
-    # the exact length here, step doubling +0.30 %, the three-row table -0.30 %.
+    # the exact length here, step doubling +0.30 %, the three-row table
+    # -0.30 %, and the four-row table -0.32 % (177 steps).
     traj = cd.evolve(cd.sample_analytic(cd.Lemniscate(), 256), cd.FlowSpec(t_end=0.04))
     assert traj.termination == flow.TERM_TIME_REACHED
     assert traj.times[-1] == pytest.approx(0.04, rel=1e-12)
@@ -596,9 +664,10 @@ def test_controlled_lemniscate_length_near_extinction():
 @pytest.mark.parametrize("n", [256, 512])
 def test_controlled_lemniscate_snapshots_classify_as_shrinkers(n):
     # The default run to t = 1/48 keeps the shrinker's shape at every
-    # snapshot: largest residuals 0.0077 (N=256) and 0.0075 (N=512) against
-    # the default tol 0.01. Step doubling reached 0.0113 and 0.0111, and a
-    # four-row table leaves rough mid-run snapshots (residuals up to 0.5).
+    # snapshot: largest residuals 0.0075 (N=256) and 0.0082 (N=512) against
+    # the default tol 0.01 (0.0077 and 0.0075 keeping T33 of three rows).
+    # Step doubling reached 0.0113 and 0.0111, and keeping the four-row
+    # table's top entry T44 leaves rough mid-run snapshots (0.26 at N=512).
     traj = cd.evolve(cd.sample_analytic(cd.Lemniscate(), n), cd.FlowSpec(t_end=1.0 / 48.0))
     assert traj.termination == flow.TERM_TIME_REACHED
     assert len(traj.snapshots) >= 3
@@ -657,7 +726,8 @@ def test_automatic_clothoid_ends_stay_put():
 
 def test_fit_scale_circle_is_static():
     # The controlled step grows 4-fold a step on the static circle and
-    # reaches t_end in 4 steps, so every state is a snapshot there.
+    # reaches t_end in 4 steps (the last one clipped), so every state is a
+    # snapshot there.
     crv = cd.sample_analytic(cd.Circle(1.0), 256)
     for dt, snapshot_every in ((None, 1), (1.5e-4, 5)):
         traj = cd.evolve(crv, cd.FlowSpec(dt=dt, t_end=0.005, snapshot_every=snapshot_every))
@@ -730,7 +800,7 @@ def _series_bytes(series):
 
 
 @pytest.mark.parametrize("curve, spec, termination", [
-    (cd.sample_analytic(cd.Lemniscate(), 128), cd.FlowSpec(t_end=1e-2, snapshot_every=5),
+    (cd.sample_analytic(cd.Lemniscate(), 128), cd.FlowSpec(t_end=2e-2, snapshot_every=5),
      flow.TERM_TIME_REACHED),
     (cd.sample_analytic(cd.FresnelFamily(c1=0.0, c2=np.pi / 2, s_min=-1.0, s_max=1.0), 256),
      cd.FlowSpec(t_end=4e-4, snapshot_every=5), flow.TERM_TIME_REACHED),
@@ -771,18 +841,28 @@ def test_evolve_computes_fields_once_per_state(monkeypatch, redistribute_every):
         attempts.append(None)
         return real_attempt(*args)
 
+    stacks = []
+    real_stack = flow._fields
+
+    def counted_stack(nodes, closed):
+        stacks.append(len(nodes))
+        return real_stack(nodes, closed)
+
     monkeypatch.setattr(flow, "curve_fields", counted)
     monkeypatch.setattr(flow, "_extrapolated_step", counted_attempt)
+    monkeypatch.setattr(flow, "_fields", counted_stack)
     monkeypatch.setattr(flow, "segment_lengths", counted_chords)
     # The controlled step also holds the intermediate states of its table,
-    # one half-step and two third-step states, three more records per
-    # attempt; a fixed dt makes no attempts.
+    # one half-step, two third-step and three quarter-step states, six more
+    # records per attempt, taken as three stacked kernel calls of 3, 2 and 1
+    # rows; a fixed dt makes no attempts.
     # The h^4 range check on the input is evolve's one chord pass.
     for dt in (None, 2e-4):
         calls.clear()
         attempts.clear()
+        stacks.clear()
         chord_passes.clear()
-        spec = cd.FlowSpec(dt=dt, t_end=1e-2, redistribute_every=redistribute_every)
+        spec = cd.FlowSpec(dt=dt, t_end=2e-2, redistribute_every=redistribute_every)
         start = cd.sample_analytic(cd.Lemniscate(), 128)
         traj = cd.evolve(start, spec)
         assert chord_passes == [start]
@@ -791,4 +871,5 @@ def test_evolve_computes_fields_once_per_state(monkeypatch, redistribute_every):
         assert len(attempts) >= traj.n_steps if dt is None else not attempts
         # Redistribution follows every redistribute_every-th step except the last.
         redistributions = (traj.n_steps - 1) // redistribute_every if redistribute_every else 0
-        assert len(calls) == 1 + 3 * len(attempts) + traj.n_steps + redistributions
+        assert stacks == [3, 2, 1] * len(attempts)
+        assert len(calls) == 1 + traj.n_steps + redistributions

@@ -393,6 +393,45 @@ def test_fields_bit_equal_to_roll_formulas(name, crv):
         assert cd.frame_position_identity(crv)[0] == a, name
 
 
+_FIELD_ARRAYS = ("tangent", "normal", "kappa", "kappa_s", "kappa_ss", "seg", "speed")
+
+
+def _stack_rows(rng, n, b):
+    """b closed curves of n nodes, smooth and rough in turn."""
+    return [random_smooth_curve(rng, n).nodes if i % 2 == 0 else rng.normal(size=(n, 2))
+            for i in range(b)]
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 9, 64, 257, 4096])
+def test_stacked_fields_rows_equal_curve_fields(n, b):
+    # A flow stage records its table rows with one kernel call; each row must
+    # be the record a single call gives, bit for bit.
+    rows = _stack_rows(np.random.default_rng(1000 * n + b), n, b)
+    stacked = geometry._fields(np.stack(rows), True)
+    lengths = stacked.seg.sum(axis=-1)
+    for i, nodes in enumerate(rows):
+        single = cd.curve_fields(cd.DiscreteCurve(nodes, closed=True))
+        for name in _FIELD_ARRAYS:
+            assert np.array_equal(getattr(stacked, name)[i], getattr(single, name)), (i, name)
+        assert lengths[i] == single.length
+
+
+@pytest.mark.parametrize("onto", [0, -1], ids=["repeated_node", "fold_back"])
+def test_stacked_fields_raise_the_failing_rows_own_error(onto):
+    # Row 2 of three: node 1 onto node 0 repeats a node (a degenerate
+    # segment); onto node N-1 makes node 0's neighbours coincide (a fold-back,
+    # reported at node 0 of the row, not at its flat index 64).
+    rows = _stack_rows(np.random.default_rng(5), 64, 3)
+    rows[1][1] = rows[1][onto]
+    with pytest.raises(cd.NonRegular) as single:
+        cd.curve_fields(cd.DiscreteCurve(rows[1], closed=True))
+    with pytest.raises(cd.NonRegular) as stacked:
+        geometry._fields(np.stack(rows), True)
+    assert str(stacked.value) == str(single.value)
+    assert ("minimum segment length" if onto == 0 else "at node 0 is not") in str(single.value)
+
+
 @pytest.mark.parametrize("closed", [True, False])
 def test_fields_dl_and_s_are_computed_once_on_first_read(closed):
     crv = cd.DiscreteCurve(ellipse_curve(64).nodes, closed=closed)

@@ -899,6 +899,20 @@ def test_cli_evolve_refuses_h4_outside_the_double_range(tmp_path, spec, scale):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("redistribute_every", [10, 0])
+def test_cli_evolve_refuses_fewer_than_eight_nodes(tmp_path, redistribute_every):
+    # Before, the message came from whichever call failed first: the initial
+    # resample_uniform ("resample_uniform needs M >= 8, got 6") or, without
+    # redistribution, curve_fields.
+    config = _evolve_config(tmp_path, redistribute_every=redistribute_every)
+    config["input"]["nodes"] = 6
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert _run_cli(["evolve", str(cfg_path)]) == (
+        2, "error: evolve needs at least 8 nodes, got 6\n")
+    assert not (tmp_path / "run").exists()
+
+
 def _naming(named, mutate):
     """mutate, tagged with the text its error message must contain (the
     test id stays the function's name)."""
