@@ -18,8 +18,8 @@ commas and newlines alternate, the last row ending in '\\n') is read in one
 bulk pass: one numpy pass over its bytes checks the separators and one
 map(float) pass converts every coordinate. Any other text (comments or
 blank lines after the header, '\\r\\n' or another line break, non-ASCII
-digits, a malformed row) falls through to a walk over the stripped lines,
-which accepts the same files with the same nodes and names a bad line.
+digits, a malformed row) falls through to a row-by-row walk over the
+stripped lines: same files, same nodes, and it names the first bad line.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import json
 import math
 import re
 from dataclasses import asdict
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -77,15 +76,13 @@ def curve_from_csv(text: str) -> DiscreteCurve:
 
 
 def _walk_lines(text: str) -> DiscreteCurve:
-    """Python sorts each stripped line into blank, comment, header or data
-    row; the rows are then checked for one comma each and all their cells
-    are converted by one map(float) pass. Line numbers are found only for
-    an error message."""
-    lines = list(map(str.strip, text.splitlines()))
+    """Sort each stripped line into blank, comment, header or data row, and
+    convert a data row with float as it is read; an error names its line."""
     closed: bool | None = None
     saw_header = False
-    rows: list[str] = []
-    for line in lines:
+    rows: list[tuple[float, float]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
         if not line:
             continue
         if line[0] == "#":
@@ -93,30 +90,38 @@ def _walk_lines(text: str) -> DiscreteCurve:
             if body.lower().startswith("closed="):
                 value = body.split("=", 1)[1].strip().lower()
                 if value not in ("true", "false"):
-                    raise ValueError(f"line {lines.index(line) + 1}: closed flag "
-                                     f"must be true or false, got {value!r}")
+                    raise ValueError(
+                        f"line {lineno}: closed flag must be true or false, got {value!r}")
                 closed = value == "true"
-        elif saw_header:
-            rows.append(line)
-        elif line.lower() == "x,y":
+        elif not saw_header:
+            if line.lower() != "x,y":
+                raise ValueError(f"line {lineno}: expected header 'x,y', got {line!r}")
             saw_header = True
         else:
-            raise ValueError(
-                f"line {lines.index(line) + 1}: expected header 'x,y', got {line!r}")
-    nodes = _parse_rows(lines, rows) if rows else np.empty((0, 2))
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected two comma-separated values")
+            try:
+                x, y = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-numeric coordinate") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"line {lineno}: non-finite coordinate")
+            rows.append((x, y))
     if closed is None:
         raise ValueError("missing mandatory '# closed=true|false' comment")
     if not saw_header:
         raise ValueError("missing 'x,y' header line")
-    if len(nodes) < 2:
-        raise ValueError(f"need at least 2 nodes, got {len(nodes)}")
-    return DiscreteCurve(nodes, closed)
+    if len(rows) < 2:
+        raise ValueError(f"need at least 2 nodes, got {len(rows)}")
+    return DiscreteCurve(np.array(rows), closed)
 
 
 def _writer_nodes(body: str) -> np.ndarray | None:
     """The nodes of a body of at least two rows in the writer's layout, or
-    None for any other body. On such a body the line walk would strip no
-    row into a blank or a comment and read each row's two cells alike."""
+    None for any other body or a cell that is not a finite float. On such a
+    body the line walk would strip no row into a blank or a comment and read
+    each row's two cells alike."""
     if not (body.endswith("\n") and body.isascii()) or any(
             map(body.__contains__, _NOT_IN_WRITER_ROWS)):
         return None
@@ -126,45 +131,12 @@ def _writer_nodes(body: str) -> np.ndarray | None:
     if not (2 <= commas.size == breaks.size and (commas < breaks).all()
             and (breaks[:-1] < commas[1:]).all()):
         return None
-    return _cell_nodes(body[:-1].replace("\n", ",").split(","))
-
-
-def _cell_nodes(cells: list[str]) -> np.ndarray | None:
-    """The nodes of the cells read as (x, y) pairs in one map(float) pass, or
-    None when a cell is not a finite float."""
+    cells = body[:-1].replace("\n", ",").split(",")
     try:
         nodes = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, 2)
     except ValueError:
         return None
     return nodes if np.isfinite(nodes).all() else None
-
-
-def _parse_rows(lines: list[str], rows: list[str]) -> np.ndarray:
-    """The (len(rows), 2) nodes of the data rows; the file's stripped `lines`
-    give a malformed row its line number."""
-    # One comma per row, not just two cells per row on average: a total
-    # would re-pair the rows '0,0', '1', '2,3,4' into (0, 0), (1, 2), (3, 4).
-    if (list(map(str.count, rows, repeat(","))).count(1) == len(rows)
-            and (nodes := _cell_nodes(",".join(rows).split(","))) is not None):
-        return nodes
-    # Some row is malformed: name the first one and its line.
-    for index, row in enumerate(rows):
-        if fault := _row_fault(row):
-            break
-    data_lines = [n for n, line in enumerate(lines, 1) if line and line[0] != "#"]
-    raise ValueError(f"line {data_lines[index + 1]}: {fault}")
-
-
-def _row_fault(row: str) -> str | None:
-    """Why one data row is not a node, or None when it is one."""
-    parts = row.split(",")
-    if len(parts) != 2:
-        return "expected two comma-separated values"
-    try:
-        x, y = float(parts[0]), float(parts[1])
-    except ValueError:
-        return "non-numeric coordinate"
-    return None if math.isfinite(x) and math.isfinite(y) else "non-finite coordinate"
 
 
 def read_curve_csv(path) -> DiscreteCurve:

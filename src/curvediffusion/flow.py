@@ -50,8 +50,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DomainError, NonFinite, NonRegular, SolveFailure, TooFewNodes,
-                     TooFewSnapshots)
+from .errors import (CurveDiffusionError, DomainError, NonFinite, NonRegular, SolveFailure,
+                     TooFewNodes, TooFewSnapshots)
 from .geometry import (MIN_NODES_FIELDS, CurveFields, DiscreteCurve, _fields, _require_regular,
                        _solve_banded, curve_fields, resample_uniform, segment_lengths)
 from .monitor import MonitorSeries, _row, _series
@@ -71,8 +71,14 @@ TERM_NON_FINITE = "non_finite"
 TERM_SOLVE_FAILURE = "solve_failure"
 TERM_NON_REGULAR = "non_regular"
 TERM_ACCURACY_NOT_MET = "accuracy_not_met"
+
+
+class _AccuracyNotMet(CurveDiffusionError):
+    """A controlled dt fell below its floor with the error above AUTO_RTOL."""
+
+
 _FAILURE_TERMS = {NonFinite: TERM_NON_FINITE, SolveFailure: TERM_SOLVE_FAILURE,
-                  NonRegular: TERM_NON_REGULAR}
+                  NonRegular: TERM_NON_REGULAR, _AccuracyNotMet: TERM_ACCURACY_NOT_MET}
 
 # Automatic step sizes: safety factor below the forward-Euler bound for the
 # fourth-difference symbol (explicit), and an h^2 step for the IMEX scheme.
@@ -96,7 +102,8 @@ class FlowSpec:
     otherwise h^4/10 explicit or h^2/4 semi-implicit, recomputed after each
     redistribution.
     redistribute_every = 0 disables redistribution entirely (including the
-    initial pass). length_min / min_spacing = None disable those stops.
+    initial pass). length_min / min_spacing = None disable those stops; each
+    is tested after every step, and the first state below its floor ends the run.
     """
 
     kind: str = CURVE_DIFFUSION
@@ -194,9 +201,7 @@ def _imex_solve(rhs: np.ndarray, c: float | np.ndarray, closed: bool) -> np.ndar
 def _auto_step(h: float, scheme: str) -> float:
     if scheme == EXPLICIT:
         return EXPLICIT_DT_FACTOR * h**4
-    if scheme == SEMI_IMPLICIT:
-        return SEMI_IMPLICIT_DT_FACTOR * h**2
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return SEMI_IMPLICIT_DT_FACTOR * h**2
 
 
 def _advance(curve: DiscreteCurve, fields: CurveFields, dt: float,
@@ -345,11 +350,9 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
                 dt = dt_step * min(max(factor, 0.2), 4.0)
                 if err > AUTO_RTOL:
                     if dt < dt_floor:
-                        termination = TERM_ACCURACY_NOT_MET
-                        detail = (f"step size {dt!r} fell below the floor {dt_floor!r} "
-                                  f"with error estimate {err!r} > {AUTO_RTOL!r} (last kept "
-                                  f"state: step {steps}, t = {float(t)!r})")
-                        break
+                        raise _AccuracyNotMet(f"step size {dt!r} fell below the floor "
+                                              f"{dt_floor!r} with error estimate {err!r} "
+                                              f"> {AUTO_RTOL!r}")
                     continue
             else:
                 new = _advance(state, fields, dt_step, spec)

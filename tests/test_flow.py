@@ -423,6 +423,26 @@ def test_evolve_min_spacing_stop(lemniscate_512):
     assert traj.termination_detail is None
 
 
+@pytest.mark.parametrize("stop", ["length_min", "min_spacing"])
+def test_evolve_stops_on_first_state_past_floor(stop):
+    # Every post-step state is tested: with a snapshot per step, the last
+    # state is the first one below the floor, and every earlier one is not.
+    curve = ellipse_curve(128)
+    if stop == "length_min":
+        floor, termination = 4.5, flow.TERM_LENGTH_BELOW
+    else:
+        floor, termination = 0.9 * cd.length(curve) / curve.n, flow.TERM_MIN_SPACING_BELOW
+    traj = cd.evolve(curve, cd.FlowSpec(t_end=1.0, snapshot_every=1, **{stop: floor}))
+    assert traj.termination == termination
+    assert len(traj.snapshots) == traj.n_steps + 1 > 2
+    if stop == "length_min":
+        values = traj.monitors.L
+    else:
+        values = np.array([cd.segment_lengths(s).min() for s in traj.snapshots])
+    assert values[-1] < floor <= values[-2]
+    assert floor <= values[:-1].min()
+
+
 def test_elastic_ellipse_dissipates_bending_energy():
     def bending(crv):
         f = cd.curve_fields(crv)

@@ -239,9 +239,11 @@ def _parse_outcome(reader, text):
 
 @settings(max_examples=400, deadline=None)
 @given(doc=_csv_documents())
+# A bad row before a bad flag: the first bad line in file order is named.
+@example(doc=("# closed=true\nx,y\n0,0\n1\n# closed=maybe\n2,3\n", 2))
 def test_csv_reader_matches_reference(doc):
     # Both readers accept the same documents with bit-identical nodes, and
-    # reject the same ones; one fault gets the same message from both.
+    # reject the same ones with the same message.
     text, faults = doc
     expected, expected_error = _parse_outcome(_reference_curve_from_csv, text)
     got, error = _parse_outcome(curve_io.curve_from_csv, text)
@@ -252,9 +254,7 @@ def test_csv_reader_matches_reference(doc):
         assert got.closed is expected.closed
         assert got.nodes.tobytes() == expected.nodes.tobytes()
     else:
-        assert error is not None
-        if faults == 1:
-            assert error == expected_error
+        assert error == expected_error
 
 
 def test_csv_reader_takes_bulk_pass_on_writer_files(monkeypatch, tmp_path, lemniscate_512,
