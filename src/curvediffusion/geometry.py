@@ -2,17 +2,17 @@
 
 A curve is an ordered list of planar nodes with a closed/open flag and an
 implicit uniform parameter: node i sits at u_i = i * du. Closed curves
-never repeat the first node; their stencils are slices along the node axis
-of one copy of a field padded with its last row in front and its first row
-behind.
+never repeat the first node.
 
-The field kernel _fields also takes a stack (B, N, 2) of closed curves: a
-flow step records the states of its table rows with one call. Stencils of a
-closed field index its node axis, the second to last of a vector field; a
-per-node scalar rides a trailing length-1 axis through them. Row i of a
-stack's record is bit-equal to curve_fields of curve i. Open curves are
-never stacked: their one-sided end rows take node rows 0 and -1 of an (N,)
-or (N, k) field, so that a scalar's end rows are numpy scalar arithmetic.
+Every per-node field the stencils see has one layout, (..., N, k): nodes on
+the second to last axis, components on the last, and a scalar such as kappa
+on a trailing length-1 axis. A stencil is a slice along the node axis, of a
+closed field padded with its last row in front and its first row behind
+(_wrap), or of an open field as it is, whose two end rows take one-sided
+stencils. Leading axes are a stack (B, N, 2) of closed curves, which the
+field kernel _fields also takes: a flow step records the states of its
+table rows with one call, and row i of the record is bit-equal to
+curve_fields of curve i. Open curves are never stacked.
 
 All derivatives are second-order finite differences in the parameter u,
 converted to arc-length derivatives with the chain rule (divide by the
@@ -140,33 +140,33 @@ class CurveFields:
 
 
 def _wrap(f: np.ndarray, closed: bool) -> np.ndarray:
-    """A per-node field laid out for the stencils. On a closed curve, f is
-    (..., N, k), and its last node row is prepended and its first appended,
-    so that f[..., 2:, :], f[..., 1:-1, :] and f[..., :-2, :] are the next,
-    own and previous rows of every node; on an open curve it is returned as
-    it is."""
+    """A per-node field (..., N, k) laid out for the stencils. On a closed
+    curve its last node row is prepended and its first appended, so that
+    f[..., 2:, :], f[..., 1:-1, :] and f[..., :-2, :] are the next, own and
+    previous rows of every node; on an open curve it is returned as it is,
+    and the same slices reach the interior nodes only."""
     return np.concatenate([f[..., -1:, :], f, f[..., :1, :]], axis=-2) if closed else f
 
 
 def _d_du(f: np.ndarray, closed: bool, second: bool = False):
-    """Second-order d/du of a field given as _wrap returns it, and with
-    second=True the pair (d/du, d2/du2). Stencils are central, one-sided at
-    the two end rows of an open field; u spans 2 pi closed and 1 open."""
-    if closed:
-        ahead, own, behind = f[..., 2:, :], f[..., 1:-1, :], f[..., :-2, :]
-    else:
-        ahead, own, behind = f[2:], f[1:-1], f[:-2]
+    """Second-order d/du of a field (..., N, k) given as _wrap returns it, and
+    with second=True the pair (d/du, d2/du2). Stencils are central, one-sided
+    at the two end rows of an open field; u spans 2 pi closed and 1 open."""
+    ahead, own, behind = f[..., 2:, :], f[..., 1:-1, :], f[..., :-2, :]
     d1 = ahead - behind
     d2 = ahead - 2.0 * own + behind if second else None
     if closed:
         du = 2.0 * np.pi / d1.shape[-2]
     else:
-        du = 1.0 / (f.shape[0] - 1)
-        d1 = np.concatenate([[-3.0 * f[0] + 4.0 * f[1] - f[2]], d1,
-                             [3.0 * f[-1] - 4.0 * f[-2] + f[-3]]])
+        n = f.shape[-2]
+        du = 1.0 / (n - 1)
+        # Rows 0..3 from the front (a) and the back (z) of the node axis.
+        a0, a1, a2, a3 = (f[..., i:i + 1, :] for i in range(4))
+        z0, z1, z2, z3 = (f[..., n - 1 - i:n - i, :] for i in range(4))
+        d1 = np.concatenate([-3.0 * a0 + 4.0 * a1 - a2, d1, 3.0 * z0 - 4.0 * z1 + z2], axis=-2)
         if second:
-            d2 = np.concatenate([[2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]], d2,
-                                 [2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]]])
+            d2 = np.concatenate([2.0 * a0 - 5.0 * a1 + 4.0 * a2 - a3, d2,
+                                 2.0 * z0 - 5.0 * z1 + 4.0 * z2 - z3], axis=-2)
     d1 /= 2.0 * du
     if not second:
         return d1
@@ -175,12 +175,9 @@ def _d_du(f: np.ndarray, closed: bool, second: bool = False):
 
 
 def _d_ds(values: np.ndarray, speed: np.ndarray, closed: bool) -> np.ndarray:
-    """Arc-length derivative of a per-node scalar (..., N) or vector
-    (..., N, k) field: the parameter stencil of _d_du divided by the local
-    speed |gamma_u|, (..., N). Leading axes are a closed stack's rows."""
-    if values.ndim == speed.ndim:
-        d = _d_du(_wrap(values[..., None], True), True)[..., 0] if closed else _d_du(values, False)
-        return d / speed
+    """Arc-length derivative of a per-node field (..., N, k): the parameter
+    stencil of _d_du divided by the local speed |gamma_u| (..., N). Leading
+    axes are a closed stack's rows; a scalar field rides k = 1."""
     return _d_du(_wrap(values, closed), closed) / speed[..., None]
 
 
@@ -224,8 +221,8 @@ def signed_area(curve: DiscreteCurve) -> float:
     """Shoelace signed area, positive for counterclockwise embedded curves."""
     if not curve.closed:
         raise OpenCurve("signed_area requires a closed curve")
-    x, y = curve.nodes[:, 0], curve.nodes[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    f = _wrap(curve.nodes, True)
+    (x, y), (xn, yn) = f[1:-1].T, f[2:].T
     return float(0.5 * np.sum(x * yn - y * xn))
 
 
@@ -238,7 +235,8 @@ def winding_number(curve: DiscreteCurve) -> int:
     """
     if not curve.closed:
         raise OpenCurve("winding_number requires a closed curve")
-    diff = np.roll(curve.nodes, -1, axis=0) - curve.nodes
+    f = _wrap(curve.nodes, True)
+    diff = f[2:] - f[1:-1]
     headings = np.arctan2(diff[:, 1], diff[:, 0])
     turns = np.diff(headings, append=headings[:1])
     turns = (turns + np.pi) % (2.0 * np.pi) - np.pi
@@ -283,7 +281,7 @@ def _fields(nodes: np.ndarray, closed: bool) -> CurveFields:
     would, node indices within it."""
     f = _wrap(nodes, closed)
     with np.errstate(over="ignore"):
-        chord = f[..., 2:, :] - f[..., 1:-1, :] if closed else f[1:] - f[:-1]
+        chord = f[..., 2:, :] - f[..., 1:-1, :] if closed else f[..., 1:, :] - f[..., :-1, :]
         seg = np.hypot(chord[..., 0], chord[..., 1])
     _require_regular(seg)
 
@@ -300,11 +298,12 @@ def _fields(nodes: np.ndarray, closed: bool) -> CurveFields:
     normal = np.empty_like(tangent)
     np.negative(tangent[..., 1], out=normal[..., 0])
     normal[..., 1] = tangent[..., 0]
-    cross = g_u[..., 0] * g_uu[..., 1] - g_u[..., 1] * g_uu[..., 0]
-    kappa = cross / speed**3
+    cross = g_u[..., :1] * g_uu[..., 1:] - g_u[..., 1:] * g_uu[..., :1]
+    kappa = cross / (speed**3)[..., None]
     kappa_s = _d_ds(kappa, speed, closed)
     kappa_ss = _d_ds(kappa_s, speed, closed)
-    return CurveFields(tangent, normal, kappa, kappa_s, kappa_ss, seg, speed)
+    return CurveFields(tangent, normal, kappa[..., 0], kappa_s[..., 0], kappa_ss[..., 0],
+                       seg, speed)
 
 
 def _solve_banded(ab: np.ndarray, rhs: np.ndarray, l_and_u=None) -> np.ndarray:

@@ -383,7 +383,7 @@ def test_fields_bit_equal_to_roll_formulas(name, crv):
     assert cd.length(crv) == float(want["seg"].sum())
 
     rng = np.random.default_rng(crv.n)
-    for values in (rng.normal(size=crv.n), rng.normal(size=(crv.n, 2))):
+    for values in (rng.normal(size=(crv.n, 1)), rng.normal(size=(crv.n, 2))):
         ref = _roll_d_ds(values, want["speed"], crv.closed)
         assert np.array_equal(geometry._d_ds(values, got.speed, crv.closed), ref), name
 
