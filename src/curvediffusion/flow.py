@@ -163,7 +163,7 @@ def normal_velocity(fields: CurveFields, kind: str) -> np.ndarray:
     if kind == CURVE_DIFFUSION:
         return -fields.kappa_ss
     if kind == ELASTIC:
-        return -fields.kappa_ss - 0.5 * fields.kappa**3
+        return -fields.kappa_ss - 0.5 * (fields.kappa * fields.kappa * fields.kappa)
     raise ValueError(f"unknown flow kind {kind!r}")
 
 
@@ -269,7 +269,7 @@ def _extrapolated_step(curve: DiscreteCurve, fields: CurveFields, dt: float,
         v = normal_velocity(records, spec.kind)
         rhs = tau[stage:, None, None] * v[..., None] * records.normal
         h = records.seg.sum(axis=-1) / n
-        live = live + _imex_solve(rhs, tau[stage:] / h**4, True)
+        live = live + _imex_solve(rhs, tau[stage:] / ((h * h) * (h * h)), True)
     t11, t21, t31 = rows
     t41 = _require_finite(live)[0]
     t22 = t21 + (t21 - t11)

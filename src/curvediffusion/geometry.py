@@ -24,7 +24,10 @@ samples and the same code path serves analytic and simulated curves.
 Conventions:
   * normal = tangent rotated by +pi/2, i.e. nu = (-t_y, t_x); a
     counterclockwise circle then has positive curvature and inward normal.
-  * kappa = cross(gamma_u, gamma_uu) / |gamma_u|^3 (signed).
+  * kappa = cross(gamma_u, gamma_uu) / (|gamma_u| * |gamma_u| * |gamma_u|)
+    (signed), a product rather than a power, so that the fields, and the
+    controlled flow step built on them, commute exactly with scaling the
+    nodes by a power of two.
 """
 
 from __future__ import annotations
@@ -299,7 +302,7 @@ def _fields(nodes: np.ndarray, closed: bool) -> CurveFields:
     np.negative(tangent[..., 1], out=normal[..., 0])
     normal[..., 1] = tangent[..., 0]
     cross = g_u[..., :1] * g_uu[..., 1:] - g_u[..., 1:] * g_uu[..., :1]
-    kappa = cross / (speed**3)[..., None]
+    kappa = cross / (speed * speed * speed)[..., None]
     kappa_s = _d_ds(kappa, speed, closed)
     kappa_ss = _d_ds(kappa_s, speed, closed)
     return CurveFields(tangent, normal, kappa[..., 0], kappa_s[..., 0], kappa_ss[..., 0],

@@ -1,6 +1,7 @@
 """Discrete curve representation, per-node fields, and resampling."""
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -346,7 +347,7 @@ def _roll_fields(curve: cd.DiscreteCurve) -> dict:
     speed = np.hypot(g_u[:, 0], g_u[:, 1])
     tangent = g_u / speed[:, None]
     cross = g_u[:, 0] * g_uu[:, 1] - g_u[:, 1] * g_uu[:, 0]
-    kappa = cross / speed**3
+    kappa = cross / (speed * speed * speed)
     kappa_s = _roll_d_ds(kappa, speed, closed)
     padded = seg if closed else np.append(seg, 0.0)
     return dict(
@@ -430,6 +431,29 @@ def test_stacked_fields_raise_the_failing_rows_own_error(onto):
         geometry._fields(np.stack(rows), True)
     assert str(stacked.value) == str(single.value)
     assert ("minimum segment length" if onto == 0 else "at node 0 is not") in str(single.value)
+
+
+# Scaling by a power of two is exact in floating point, and the kernel keeps
+# it exact: each field is a product and quotient of node differences, with
+# kappa = cross / (speed * speed * speed), never a numpy power.
+_FIELD_POWERS = {"tangent": 0, "normal": 0, "kappa": -1, "kappa_s": -2, "kappa_ss": -3,
+                 "seg": 1, "speed": 1}
+
+
+@pytest.mark.parametrize("layout", ["closed", "open", "stacked"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-40, 40), rough=st.booleans())
+def test_fields_scale_exactly_by_powers_of_two(layout, seed, k, rough):
+    rng = np.random.default_rng(seed)
+    if layout == "stacked":
+        nodes = np.stack(_stack_rows(rng, 64, 3))
+    else:
+        nodes = rng.normal(size=(64, 2)) if rough else random_smooth_curve(rng, 96).nodes[:64]
+    closed = layout != "open"
+    got = geometry._fields(math.ldexp(1.0, k) * nodes, closed)
+    want = geometry._fields(nodes, closed)
+    for name, power in _FIELD_POWERS.items():
+        assert np.array_equal(getattr(got, name), math.ldexp(1.0, power * k) * getattr(want, name)), name
 
 
 @pytest.mark.parametrize("closed", [True, False])

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvediffusion as cd
@@ -538,6 +538,10 @@ def _assert_matches_reference(crv: cd.DiscreteCurve) -> None:
     rho=st.floats(-3.0, 3.0).map(lambda p: 10.0**p),
     reverse=st.booleans(),
 )
+# Both failed while kappa divided by numpy's speed**3, which is not exact
+# under the power-of-two scaling the fits take to unit length.
+@example(name="circle_256", angle=0.0, shift=(0.0, 0.0), rho=10.0**-1e-5, reverse=False)
+@example(name="circle_256", angle=0.0, shift=(0.0, 0.0), rho=1.0000000000001135, reverse=False)
 def test_classify_matches_reference(name, angle, shift, rho, reverse):
     crv = _FIXTURE_CURVES[name]
     _assert_matches_reference(moved(crv.reversed() if reverse else crv, angle,
