@@ -24,10 +24,8 @@ samples and the same code path serves analytic and simulated curves.
 Conventions:
   * normal = tangent rotated by +pi/2, i.e. nu = (-t_y, t_x); a
     counterclockwise circle then has positive curvature and inward normal.
-  * kappa = cross(gamma_u, gamma_uu) / (|gamma_u| * |gamma_u| * |gamma_u|)
-    (signed), a product rather than a power, so that the fields, and the
-    controlled flow step built on them, commute exactly with scaling the
-    nodes by a power of two.
+  * kappa = cross(gamma_u, gamma_uu) / (|gamma_u| |gamma_u| |gamma_u|) (signed): a product, so
+    the fields and the controlled flow step commute exactly with scaling by powers of two.
 """
 
 from __future__ import annotations
@@ -143,11 +141,10 @@ class CurveFields:
 
 
 def _wrap(f: np.ndarray, closed: bool) -> np.ndarray:
-    """A per-node field (..., N, k) laid out for the stencils. On a closed
+    """A per-node field (..., N, k) laid out for the stencils: on a closed
     curve its last node row is prepended and its first appended, so that
     f[..., 2:, :], f[..., 1:-1, :] and f[..., :-2, :] are the next, own and
-    previous rows of every node; on an open curve it is returned as it is,
-    and the same slices reach the interior nodes only."""
+    previous rows of every node; an open field is returned as it is."""
     return np.concatenate([f[..., -1:, :], f, f[..., :1, :]], axis=-2) if closed else f
 
 
@@ -163,7 +160,6 @@ def _d_du(f: np.ndarray, closed: bool, second: bool = False):
     else:
         n = f.shape[-2]
         du = 1.0 / (n - 1)
-        # Rows 0..3 from the front (a) and the back (z) of the node axis.
         a0, a1, a2, a3 = (f[..., i:i + 1, :] for i in range(4))
         z0, z1, z2, z3 = (f[..., n - 1 - i:n - i, :] for i in range(4))
         d1 = np.concatenate([-3.0 * a0 + 4.0 * a1 - a2, d1, 3.0 * z0 - 4.0 * z1 + z2], axis=-2)

@@ -453,7 +453,8 @@ def test_fields_scale_exactly_by_powers_of_two(layout, seed, k, rough):
     got = geometry._fields(math.ldexp(1.0, k) * nodes, closed)
     want = geometry._fields(nodes, closed)
     for name, power in _FIELD_POWERS.items():
-        assert np.array_equal(getattr(got, name), math.ldexp(1.0, power * k) * getattr(want, name)), name
+        scaled = math.ldexp(1.0, power * k) * getattr(want, name)
+        assert np.array_equal(getattr(got, name), scaled), name
 
 
 @pytest.mark.parametrize("closed", [True, False])
