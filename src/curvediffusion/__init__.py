@@ -41,7 +41,6 @@ from .errors import (
 from .flow import (
     CURVE_DIFFUSION,
     ELASTIC,
-    EXPLICIT,
     SEMI_IMPLICIT,
     FlowSpec,
     ScaleFit,

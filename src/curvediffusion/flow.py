@@ -6,32 +6,27 @@ is geometrically meaningful, so steps displace nodes along the discrete
 normal and periodic arc-length redistribution absorbs the parameter drift
 that would otherwise cluster nodes and destroy the h^4 stability budget.
 
-Two schemes:
+The scheme is semi-implicit (IMEX). The stiff fourth-order part is frozen
+at the current mean arc spacing h and treated implicitly, in increment form:
 
-  * Explicit forward Euler. Stable only under dt <~ h^4; evolve() enforces
-    the envelope dt * (N/L)^4 <= 0.125 on user-supplied steps and the
-    automatic step uses h^4 / 10.
-  * Semi-implicit (IMEX). The stiff fourth-order part is frozen at the
-    current mean arc spacing h and treated implicitly, in increment form:
+    gamma_new = gamma + (I + c S^T S)^-1 (dt v nu),   c = dt / h^4
 
-        gamma_new = gamma + (I + c S^T S)^-1 (dt v nu),   c = dt / h^4
+with S the unit three-point second difference (cyclic for closed curves,
+interior-only for open ones, which leaves the ends free). It equals
+(I + dt D4) gamma_new = gamma + dt (v nu + D4 gamma), D4 = S^T S / h^4,
+without the h^-4-sized D4 gamma. The SPD operator is circulant (one FFT
+pair) when closed and pentadiagonal (banded Cholesky) when open; a step
+never amplifies, so dt ~ h^2 works given near-uniform spacing.
 
-    with S the unit three-point second difference (cyclic for closed curves,
-    interior-only for open ones, which leaves the ends free). It equals
-    (I + dt D4) gamma_new = gamma + dt (v nu + D4 gamma), D4 = S^T S / h^4,
-    without the h^-4-sized D4 gamma. The SPD operator is circulant (one FFT
-    pair) when closed and pentadiagonal (banded Cholesky) when open; a step
-    never amplifies, so dt ~ h^2 works given near-uniform spacing.
-
-The automatic step (dt = None) of the semi-implicit scheme on a closed
-curve is error-controlled: each step extrapolates 1, 2, 3 and 4 IMEX Euler
-substeps in an Aitken-Neville table (linearly implicit Euler extrapolation,
-Deuflhard 1985) and keeps T43, the third-order entry of rows 2-4; its gap to
-the embedded third-order entry T33 estimates the local error that sets the
-next dt. The rows advance together by stage, so an attempt records its 6
-intermediate states in 3 field-kernel calls and solves in 4 FFT pairs, one
-stacked circulant solve per stage.
-Every other automatic step follows the mesh (h^2/4 or h^4/10).
+The automatic step (dt = None) on a closed curve is error-controlled: each
+step extrapolates 1, 2, 3 and 4 IMEX Euler substeps in an Aitken-Neville
+table (linearly implicit Euler extrapolation, Deuflhard 1985) and keeps T43,
+the third-order entry of rows 2-4; its gap to the embedded third-order entry
+T33 estimates the local error that sets the next dt. The rows advance
+together by stage, so an attempt records its 6 intermediate states in 3
+field-kernel calls and solves in 4 FFT pairs, one stacked circulant solve
+per stage.
+On an open curve the automatic step follows the mesh: h^2/4.
 
 Stopping is by first trigger among: time horizon reached, length below a
 floor, minimum node spacing below a floor, a controlled dt shrunk below its
@@ -60,9 +55,8 @@ CURVE_DIFFUSION = "curve_diffusion"
 ELASTIC = "elastic"
 FLOW_KINDS = (CURVE_DIFFUSION, ELASTIC)
 
-EXPLICIT = "explicit"
 SEMI_IMPLICIT = "semi_implicit"
-SCHEMES = (EXPLICIT, SEMI_IMPLICIT)
+SCHEMES = (SEMI_IMPLICIT,)
 
 TERM_TIME_REACHED = "time_reached"
 TERM_LENGTH_BELOW = "length_below"
@@ -80,27 +74,22 @@ class _AccuracyNotMet(CurveDiffusionError):
 _FAILURE_TERMS = {NonFinite: TERM_NON_FINITE, SolveFailure: TERM_SOLVE_FAILURE,
                   NonRegular: TERM_NON_REGULAR, _AccuracyNotMet: TERM_ACCURACY_NOT_MET}
 
-# Automatic step sizes: safety factor below the forward-Euler bound for the
-# fourth-difference symbol (explicit), and an h^2 step for the IMEX scheme.
-EXPLICIT_DT_FACTOR = 0.1
+# The automatic step on an open curve, and the first one on a closed curve: h^2/4.
 SEMI_IMPLICIT_DT_FACTOR = 0.25
 # Controlled steps: accepted when the local error estimate, relative to the
 # length, is at most AUTO_RTOL; the run stops once dt falls below
 # AUTO_DT_FLOOR times the first step.
 AUTO_RTOL = 1e-5
 AUTO_DT_FLOOR = 1e-6
-# User-supplied explicit steps must satisfy dt * (N/L)^4 <= this.
-EXPLICIT_ENVELOPE = 0.125
 
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Flow kind plus stepper policy.
+    """Flow kind plus stepper policy. scheme accepts only semi_implicit.
 
     dt = None selects the automatic step: error-controlled from a first
-    h^2/4 for the semi-implicit scheme on a closed curve (see AUTO_RTOL);
-    otherwise h^4/10 explicit or h^2/4 semi-implicit, recomputed after each
-    redistribution.
+    h^2/4 on a closed curve (see AUTO_RTOL); h^2/4 on an open one,
+    recomputed after each redistribution.
     redistribute_every = 0 disables redistribution entirely (including the
     initial pass). length_min / min_spacing = None disable those stops; each
     is tested after every step, and the first state below its floor ends the run.
@@ -118,6 +107,9 @@ class FlowSpec:
     def __post_init__(self) -> None:
         if self.kind not in FLOW_KINDS:
             raise ValueError(f"unknown flow kind {self.kind!r}")
+        if self.scheme == "explicit":
+            raise ValueError("scheme 'explicit' was removed: forward Euler is stable only for "
+                             f"dt <= 0.125 h^4; use {SEMI_IMPLICIT!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dt is not None and not self.dt > 0.0:
@@ -198,29 +190,21 @@ def _imex_solve(rhs: np.ndarray, c: float | np.ndarray, closed: bool) -> np.ndar
     return _solve_banded(ab, rhs)
 
 
-def _auto_step(h: float, scheme: str) -> float:
-    if scheme == EXPLICIT:
-        return EXPLICIT_DT_FACTOR * h**4
+def _auto_step(h: float) -> float:
     return SEMI_IMPLICIT_DT_FACTOR * h**2
 
 
 def _advance(curve: DiscreteCurve, fields: CurveFields, dt: float,
              spec: FlowSpec) -> DiscreteCurve:
-    """One step of size dt > 0 from the curve and its field record."""
-    v = normal_velocity(fields, spec.kind)
-
-    if spec.scheme == EXPLICIT:
-        # Overflow from an oversized step is reported via NonFinite below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            new_nodes = curve.nodes + dt * v[:, None] * fields.normal
-    else:
-        h = fields.length / fields.seg.size
+    """One IMEX Euler step of size dt > 0 from the curve and its field record.
+    Overflow from an oversized step is reported by _require_finite."""
+    h = fields.length / fields.seg.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = dt * normal_velocity(fields, spec.kind)[:, None] * fields.normal
         try:
-            incr = _imex_solve(dt * v[:, None] * fields.normal, dt / h**4, curve.closed)
+            new_nodes = curve.nodes + _imex_solve(rhs, dt / h**4, curve.closed)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SolveFailure(f"implicit solve failed: {exc}") from exc
-        new_nodes = curve.nodes + incr
-
     return DiscreteCurve(_require_finite(new_nodes), curve.closed)
 
 
@@ -311,22 +295,12 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
     if spec.redistribute_every > 0:
         state = resample_uniform(state, curve.n)
     fields = curve_fields(state)
-
-    if spec.scheme == EXPLICIT and spec.dt is not None:
-        envelope = spec.dt * (state.n / fields.length) ** 4
-        if envelope > EXPLICIT_ENVELOPE * (1.0 + 1e-12):
-            raise ValueError(
-                f"explicit step dt={spec.dt:.6g} gives dt*(N/L)^4 = "
-                f"{envelope:.6g} > {EXPLICIT_ENVELOPE}, outside the "
-                "stability envelope; reduce dt or use the semi-implicit scheme"
-            )
-
     times = [0.0]
     snaps = [state]
     rows = [_row(state, fields)]
     h = fields.length / fields.seg.size
-    dt = spec.dt if spec.dt is not None else _auto_step(h, spec.scheme)
-    controlled = spec.dt is None and spec.scheme == SEMI_IMPLICIT and state.closed
+    dt = spec.dt if spec.dt is not None else _auto_step(h)
+    controlled = spec.dt is None and state.closed
     dt_floor = AUTO_DT_FLOOR * dt
     t = 0.0
     steps = 0
@@ -373,7 +347,7 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
                 new = resample_uniform(state, state.n)
                 state, fields = new, curve_fields(new)
                 if spec.dt is None and not controlled:
-                    dt = _auto_step(fields.length / fields.seg.size, spec.scheme)
+                    dt = _auto_step(fields.length / fields.seg.size)
         except tuple(_FAILURE_TERMS) as exc:
             termination = _FAILURE_TERMS[type(exc)]
             detail = f"{exc} (last kept state: step {steps}, t = {float(t)!r})"

@@ -50,6 +50,9 @@ MIN_NODES_FIELDS = 8
 REGULARITY_FACTOR = 1e-14
 # Pre-rounding turning number must be this close to an integer.
 WINDING_WINDOW = 0.1
+# Open end stencils: rows i and N-1-i of the two ends, weighted for d/du (first three) and d2/du2.
+_END_ROWS = np.array([[0, 1, 2, 0, 1, 2, 3], [-1, -2, -3, -1, -2, -3, -4]])
+_END_WEIGHTS = np.array([[-3, 4, -1, 2, -5, 4, -1], [3, -4, 1, 2, -5, 4, -1]], float)[..., None]
 
 
 @dataclass(frozen=True)
@@ -155,17 +158,14 @@ def _d_du(f: np.ndarray, closed: bool, second: bool = False):
     ahead, own, behind = f[..., 2:, :], f[..., 1:-1, :], f[..., :-2, :]
     d1 = ahead - behind
     d2 = ahead - 2.0 * own + behind if second else None
-    if closed:
-        du = 2.0 * np.pi / d1.shape[-2]
-    else:
-        n = f.shape[-2]
-        du = 1.0 / (n - 1)
-        a0, a1, a2, a3 = (f[..., i:i + 1, :] for i in range(4))
-        z0, z1, z2, z3 = (f[..., n - 1 - i:n - i, :] for i in range(4))
-        d1 = np.concatenate([-3.0 * a0 + 4.0 * a1 - a2, d1, 3.0 * z0 - 4.0 * z1 + z2], axis=-2)
+    du = 2.0 * np.pi / d1.shape[-2] if closed else 1.0 / (f.shape[-2] - 1)
+    if not closed:
+        c = np.take(f, _END_ROWS, axis=-2) * _END_WEIGHTS  # (..., 2, 7, k)
+        e1 = c[..., 0, :] + c[..., 1, :] + c[..., 2, :]
+        d1 = np.concatenate([e1[..., :1, :], d1, e1[..., 1:, :]], axis=-2)
         if second:
-            d2 = np.concatenate([2.0 * a0 - 5.0 * a1 + 4.0 * a2 - a3, d2,
-                                 2.0 * z0 - 5.0 * z1 + 4.0 * z2 - z3], axis=-2)
+            e2 = c[..., 3, :] + c[..., 4, :] + c[..., 5, :] + c[..., 6, :]
+            d2 = np.concatenate([e2[..., :1, :], d2, e2[..., 1:, :]], axis=-2)
     d1 /= 2.0 * du
     if not second:
         return d1

@@ -28,6 +28,14 @@ def random_smooth_curve(rng: np.random.Generator, n: int = 256) -> cd.DiscreteCu
     return cd.DiscreteCurve(np.column_stack([r * np.cos(u), r * np.sin(u)]), closed=True)
 
 
+def forward_euler(curve: cd.DiscreteCurve, dt: float) -> cd.DiscreteCurve:
+    """One forward-Euler step of the curve diffusion flow, nodes + dt v nu, for
+    tests that use it as an oracle; stable only for dt <= 0.125 h^4."""
+    f = cd.curve_fields(curve)
+    v = cd.normal_velocity(f, cd.CURVE_DIFFUSION)
+    return cd.DiscreteCurve(curve.nodes + dt * v[:, None] * f.normal, curve.closed)
+
+
 def monitor_series(times, curves) -> cd.MonitorSeries:
     """The monitor series of curves at times, each row from its own field
     record, as evolve builds it for its snapshots."""

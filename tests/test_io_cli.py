@@ -938,7 +938,9 @@ def _assert_evolve_rejects(tmp_path, mutate):
     "mutate",
     [
         _naming("flow", lambda c: c.pop("flow")),
-        _naming("dt", lambda c: c["flow"].update(scheme="explicit", dt=1.0)),
+        _naming("error: scheme 'explicit' was removed: forward Euler is stable only for "
+                "dt <= 0.125 h^4; use 'semi_implicit'",
+                lambda c: c["flow"].update(scheme="explicit")),
         _naming("t_end", lambda c: c["flow"].update(t_end=-1.0)),
         _naming("path", lambda c: c["input"].update(path="also.csv")),  # both path and spec
         _naming("parabola", lambda c: c["input"]["spec"].update(kind="parabola")),
@@ -1354,7 +1356,7 @@ def test_module_entry_point():
 _PUBLIC_NAMES = [
     "AmbiguousTurning", "AnalyticCurveSpec", "CURVE_DIFFUSION", "Circle",
     "CurveDiffusionError", "CurveFields", "CurveJet", "DegenerateGeometry", "DiscreteCurve",
-    "DomainError", "ELASTIC", "EXPLICIT", "FlowSpec", "FresnelFamily", "HypothesisViolated",
+    "DomainError", "ELASTIC", "FlowSpec", "FresnelFamily", "HypothesisViolated",
     "Lemniscate", "LifespanBounds", "Line", "MonitorSeries", "NonFinite", "NonRegular",
     "OpenCurve", "QuadratureFailure", "RotatorFit", "SEMI_IMPLICIT", "ScaleFit",
     "ShrinkerFit", "SolitonReport", "SolveFailure", "StationaryFit", "TooFewNodes",
