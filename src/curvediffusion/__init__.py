@@ -40,14 +40,12 @@ from .errors import (
 )
 from .flow import (
     CURVE_DIFFUSION,
-    ELASTIC,
     SEMI_IMPLICIT,
     FlowSpec,
     ScaleFit,
     Trajectory,
     evolve,
     fit_scale_profile,
-    normal_velocity,
 )
 from .geometry import (
     CurveFields,

@@ -129,7 +129,8 @@ def lemniscate_point(u, scale: float = 1.0) -> CurveJet:
     rho multiplies coordinates by rho and maps K to K / rho^4, hence the
     extinction time rho^4 / 24.
 
-    Accepts scalar or array u; fields broadcast accordingly.
+    Accepts scalar or array u; fields broadcast accordingly. Raises
+    DomainError for a scale at which a field leaves the double range.
     """
     if scale <= 0.0:
         raise DomainError(f"lemniscate scale must be positive, got {scale}")
@@ -137,7 +138,6 @@ def lemniscate_point(u, scale: float = 1.0) -> CurveJet:
     s, c = np.sin(u), np.cos(u)
     den = 1.0 + s**2
 
-    point = np.stack([c / den, s * c / den], axis=-1)
     # gamma_u = (-s (3 - s^2), c^2 - 2 s^2) / den^2 with |gamma_u| = den^(-1/2).
     tangent = np.stack([-s * (3.0 - s**2), c**2 - 2.0 * s**2], axis=-1) / den[
         ..., None
@@ -148,15 +148,27 @@ def lemniscate_point(u, scale: float = 1.0) -> CurveJet:
     kappa_ss = -6.0 * c**3 / den**1.5
     gamma_dot_nu = c * (s**2 - 1.0) / den**1.5
 
-    return CurveJet(
-        point=scale * point,
-        tangent=tangent,
-        normal=normal,
-        kappa=kappa / scale,
-        kappa_s=kappa_s / scale**2,
-        kappa_ss=kappa_ss / scale**3,
-        gamma_dot_nu=scale * gamma_dot_nu,
-    )
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return CurveJet(
+                point=_lemniscate_nodes(u, scale),
+                tangent=tangent,
+                normal=normal,
+                kappa=kappa / scale,
+                kappa_s=kappa_s / scale**2,
+                kappa_ss=kappa_ss / scale**3,
+                gamma_dot_nu=scale * gamma_dot_nu,
+            )
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"lemniscate scale {scale!r} puts the curvature jet "
+                          "outside the double range") from None
+
+
+def _lemniscate_nodes(u: np.ndarray, scale: float) -> np.ndarray:
+    """The points scale (cos u, sin u cos u) / (1 + sin^2 u), shape (..., 2)."""
+    s, c = np.sin(u), np.cos(u)
+    den = 1.0 + s**2
+    return scale * np.stack([c / den, s * c / den], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -278,7 +290,7 @@ def sample_analytic(spec: AnalyticCurveSpec, n: int) -> DiscreteCurve:
         curve = DiscreteCurve(nodes, closed=True)
     elif isinstance(spec, Lemniscate):
         u = 2.0 * np.pi * np.arange(n) / n
-        curve = DiscreteCurve(lemniscate_point(u, spec.scale).point, closed=True)
+        curve = DiscreteCurve(_lemniscate_nodes(u, spec.scale), closed=True)
     elif isinstance(spec, FresnelFamily):
         s = np.linspace(spec.s_min, spec.s_max, n)
         curve = DiscreteCurve(_fresnel_sample(spec, s), closed=False)

@@ -1,10 +1,9 @@
 """Time integration of the curve diffusion flow.
 
-The flow moves each point with normal speed -kappa_ss (the elastic
-comparison mode uses -kappa_ss - kappa^3 / 2). Only the normal component
-is geometrically meaningful, so steps displace nodes along the discrete
-normal and periodic arc-length redistribution absorbs the parameter drift
-that would otherwise cluster nodes and destroy the h^4 stability budget.
+The flow moves each point with normal speed -kappa_ss. Only the normal
+component is geometrically meaningful, so steps displace nodes along the
+discrete normal and periodic arc-length redistribution absorbs the parameter
+drift that would otherwise cluster nodes and destroy the h^4 stability budget.
 
 The scheme is semi-implicit (IMEX). The stiff fourth-order part is frozen
 at the current mean arc spacing h and treated implicitly, in increment form:
@@ -52,11 +51,7 @@ from .geometry import (MIN_NODES_FIELDS, CurveFields, DiscreteCurve, _fields, _r
 from .monitor import MonitorSeries, _row, _series
 
 CURVE_DIFFUSION = "curve_diffusion"
-ELASTIC = "elastic"
-FLOW_KINDS = (CURVE_DIFFUSION, ELASTIC)
-
 SEMI_IMPLICIT = "semi_implicit"
-SCHEMES = (SEMI_IMPLICIT,)
 
 TERM_TIME_REACHED = "time_reached"
 TERM_LENGTH_BELOW = "length_below"
@@ -85,7 +80,7 @@ AUTO_DT_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Flow kind plus stepper policy. scheme accepts only semi_implicit.
+    """Stepper policy. kind accepts only curve_diffusion, scheme only semi_implicit.
 
     dt = None selects the automatic step: error-controlled from a first
     h^2/4 on a closed curve (see AUTO_RTOL); h^2/4 on an open one,
@@ -105,12 +100,15 @@ class FlowSpec:
     min_spacing: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in FLOW_KINDS:
+        if self.kind == "elastic":
+            raise ValueError("flow kind 'elastic' was removed: the package integrates the curve "
+                             f"diffusion flow only; use {CURVE_DIFFUSION!r}")
+        if self.kind != CURVE_DIFFUSION:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if self.scheme == "explicit":
             raise ValueError("scheme 'explicit' was removed: forward Euler is stable only for "
                              f"dt <= 0.125 h^4; use {SEMI_IMPLICIT!r}")
-        if self.scheme not in SCHEMES:
+        if self.scheme != SEMI_IMPLICIT:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
@@ -150,15 +148,6 @@ class ScaleFit:
     rms_residual: float
 
 
-def normal_velocity(fields: CurveFields, kind: str) -> np.ndarray:
-    """Scalar normal speed per node: -kappa_ss, or -kappa_ss - kappa^3/2."""
-    if kind == CURVE_DIFFUSION:
-        return -fields.kappa_ss
-    if kind == ELASTIC:
-        return -fields.kappa_ss - 0.5 * (fields.kappa * fields.kappa * fields.kappa)
-    raise ValueError(f"unknown flow kind {kind!r}")
-
-
 @lru_cache(maxsize=8)
 def _closed_symbol(n: int) -> np.ndarray:
     """Read-only rfft symbol (4 sin^2(pi k/N))^2, k = 0..N/2, of S^T S."""
@@ -194,13 +183,12 @@ def _auto_step(h: float) -> float:
     return SEMI_IMPLICIT_DT_FACTOR * h**2
 
 
-def _advance(curve: DiscreteCurve, fields: CurveFields, dt: float,
-             spec: FlowSpec) -> DiscreteCurve:
+def _advance(curve: DiscreteCurve, fields: CurveFields, dt: float) -> DiscreteCurve:
     """One IMEX Euler step of size dt > 0 from the curve and its field record.
     Overflow from an oversized step is reported by _require_finite."""
     h = fields.length / fields.seg.size
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = dt * normal_velocity(fields, spec.kind)[:, None] * fields.normal
+        rhs = dt * -fields.kappa_ss[:, None] * fields.normal
         try:
             new_nodes = curve.nodes + _imex_solve(rhs, dt / h**4, curve.closed)
         except (np.linalg.LinAlgError, ValueError) as exc:
@@ -222,8 +210,8 @@ def _require_finite(nodes: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def _extrapolated_step(curve: DiscreteCurve, fields: CurveFields, dt: float,
-                       spec: FlowSpec) -> tuple[DiscreteCurve, float]:
+def _extrapolated_step(curve: DiscreteCurve, fields: CurveFields,
+                       dt: float) -> tuple[DiscreteCurve, float]:
     """One extrapolated semi-implicit step of size dt on a closed curve, and
     its local error estimate.
 
@@ -243,15 +231,14 @@ def _extrapolated_step(curve: DiscreteCurve, fields: CurveFields, dt: float,
     h = fields.length / n
     # One transform of dt v nu serves the four first substeps: row k's
     # solution, divided by k, is its step of dt/k.
-    rhs = dt * normal_velocity(fields, spec.kind)[:, None] * fields.normal
+    rhs = dt * -fields.kappa_ss[:, None] * fields.normal
     live = curve.nodes + _imex_solve(rhs, tau / h**4, True) / k[:, None, None]
     rows = []
     for stage in (1, 2, 3):
         rows.append(_require_finite(live)[0])
         live = live[1:]
         records = _fields(live, True)
-        v = normal_velocity(records, spec.kind)
-        rhs = tau[stage:, None, None] * v[..., None] * records.normal
+        rhs = tau[stage:, None, None] * -records.kappa_ss[..., None] * records.normal
         h = records.seg.sum(axis=-1) / n
         live = live + _imex_solve(rhs, tau[stage:] / ((h * h) * (h * h)), True)
     t11, t21, t31 = rows
@@ -319,7 +306,7 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
         try:
             # A state is kept only once its record exists; a degenerate one never is.
             if controlled:
-                new, err = _extrapolated_step(state, fields, dt_step, spec)
+                new, err = _extrapolated_step(state, fields, dt_step)
                 factor = 0.9 * (AUTO_RTOL / err) ** 0.25 if err > 0.0 else 4.0
                 dt = dt_step * min(max(factor, 0.2), 4.0)
                 if err > AUTO_RTOL:
@@ -329,7 +316,7 @@ def evolve(curve: DiscreteCurve, spec: FlowSpec) -> Trajectory:
                                               f"> {AUTO_RTOL!r}")
                     continue
             else:
-                new = _advance(state, fields, dt_step, spec)
+                new = _advance(state, fields, dt_step)
             state, fields = new, curve_fields(new)
             t += dt_step
             steps += 1

@@ -203,6 +203,8 @@ def _require_regular(seg: np.ndarray, exp: int = 0) -> np.ndarray:
         return _require_regular(seg[bad[0]], exp) if bad.size else seg
     if not math.isfinite(floor):
         raise NonRegular(f"segment lengths are non-finite (their sum is {total})")
+    if total == 0.0:
+        raise NonRegular("every segment has length 0: the nodes coincide")
     if seg.min() <= floor:
         raise NonRegular(
             f"minimum segment length {math.ldexp(seg.min(), exp):.3e} is below the "

@@ -29,11 +29,11 @@ def random_smooth_curve(rng: np.random.Generator, n: int = 256) -> cd.DiscreteCu
 
 
 def forward_euler(curve: cd.DiscreteCurve, dt: float) -> cd.DiscreteCurve:
-    """One forward-Euler step of the curve diffusion flow, nodes + dt v nu, for
-    tests that use it as an oracle; stable only for dt <= 0.125 h^4."""
+    """One forward-Euler step of the curve diffusion flow, nodes + dt v nu with
+    v = -kappa_ss, for tests that use it as an oracle; stable only for
+    dt <= 0.125 h^4."""
     f = cd.curve_fields(curve)
-    v = cd.normal_velocity(f, cd.CURVE_DIFFUSION)
-    return cd.DiscreteCurve(curve.nodes + dt * v[:, None] * f.normal, curve.closed)
+    return cd.DiscreteCurve(curve.nodes - dt * f.kappa_ss[:, None] * f.normal, curve.closed)
 
 
 def monitor_series(times, curves) -> cd.MonitorSeries:

@@ -107,6 +107,23 @@ def test_lemniscate_point_scaled():
     assert jet.kappa_ss + (-6.0 / 16.0) * jet.gamma_dot_nu == pytest.approx(0.0, abs=1e-14)
 
 
+def test_lemniscate_sample_scales_exactly_by_powers_of_two():
+    # The sample takes the points only: from 2**342 up and from 2**-341 down,
+    # kappa_ss / scale**3 of the jet is beyond the double range.
+    unit = cd.sample_analytic(cd.Lemniscate(), 64).nodes
+    for k in range(-900, 901):
+        nodes = cd.sample_analytic(cd.Lemniscate(scale=2.0**k), 64).nodes
+        assert np.array_equal(nodes, 2.0**k * unit), k
+
+
+@pytest.mark.parametrize("beyond, inside", [(342, 341), (-341, -340)])
+def test_lemniscate_jet_beyond_double_range_is_a_domain_error(beyond, inside):
+    u = np.linspace(0.0, 2.0 * np.pi, 64)
+    cd.lemniscate_point(u, 2.0**inside)
+    with pytest.raises(cd.DomainError, match="curvature jet outside the double range"):
+        cd.lemniscate_point(u, 2.0**beyond)
+
+
 def test_lemniscate_soliton_identity_random_u():
     rng = np.random.default_rng(7)
     u = rng.uniform(0.0, 2.0 * np.pi, 10_000)

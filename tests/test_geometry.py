@@ -95,6 +95,21 @@ def test_normal_chords_with_sum_beyond_double_range_are_non_finite():
 
 
 @pytest.mark.parametrize("closed", [True, False])
+def test_coincident_nodes_are_named(closed):
+    # Every chord is 0, and so is the regularity floor, 1e-14 of their mean.
+    # A curve, a row of a stacked table and the classifier's scaled chords
+    # give the same message.
+    point = cd.DiscreteCurve(np.ones((8, 2)), closed=closed)
+    rows = np.stack([_octagon(), point.nodes])
+    calls = [cd.length, cd.curve_fields, cd.classify,
+             lambda c: geometry._fields(rows, closed)]
+    for call in calls:
+        with pytest.raises(cd.NonRegular,
+                           match="^every segment has length 0: the nodes coincide$"):
+            call(point)
+
+
+@pytest.mark.parametrize("closed", [True, False])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_node_is_non_regular(bad, closed):
     # A NaN segment compares False against the regularity floor, so it must

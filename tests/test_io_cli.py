@@ -510,6 +510,17 @@ def test_cli_generate_bad_radius(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", ["1e103", "1e-103"])
+def test_cli_generate_far_scaled_lemniscate(tmp_path, scale):
+    # The sample takes the points only: the curvature jet at these scales is
+    # beyond the double range.
+    out = tmp_path / "lem.csv"
+    argv = ["generate", "--kind", "lemniscate", "--scale", scale, "--out", str(out)]
+    assert _run_cli(argv) == (0, "")
+    unit = cd.sample_analytic(cd.Lemniscate(), 256).nodes
+    assert np.array_equal(curve_io.read_curve_csv(out).nodes, float(scale) * unit)
+
+
 def test_cli_generate_too_few_nodes(tmp_path):
     rc = cli.main(["generate", "--kind", "circle", "--nodes", "3",
                    "--out", str(tmp_path / "c.csv")])
@@ -673,6 +684,13 @@ def test_cli_check_fold_back_exits_2(tmp_path):
     assert code == 2
     assert err == ("error: parameter speed 0.000e+00 at node 0 is not positive: "
                    "the curve folds back on itself there\n")
+
+
+def test_cli_check_coincident_nodes_exits_2(tmp_path):
+    path = tmp_path / "point.csv"
+    path.write_text("# closed=true\nx,y\n" + "1,1\n" * 8, encoding="utf-8")
+    assert _run_cli(["check", str(path)]) == (
+        2, "error: every segment has length 0: the nodes coincide\n")
 
 
 def test_cli_check_accepts_byte_order_mark(tmp_path, capsys, fixture_dir):
@@ -941,6 +959,9 @@ def _assert_evolve_rejects(tmp_path, mutate):
         _naming("error: scheme 'explicit' was removed: forward Euler is stable only for "
                 "dt <= 0.125 h^4; use 'semi_implicit'",
                 lambda c: c["flow"].update(scheme="explicit")),
+        _naming("error: flow kind 'elastic' was removed: the package integrates the curve "
+                "diffusion flow only; use 'curve_diffusion'",
+                lambda c: c["flow"].update(kind="elastic")),
         _naming("t_end", lambda c: c["flow"].update(t_end=-1.0)),
         _naming("path", lambda c: c["input"].update(path="also.csv")),  # both path and spec
         _naming("parabola", lambda c: c["input"]["spec"].update(kind="parabola")),
@@ -948,6 +969,9 @@ def _assert_evolve_rejects(tmp_path, mutate):
         _naming("'note'", lambda c: c["input"].update(note=1)),
         _naming("'t_edn'", lambda c: c["flow"].update(t_edn=1e-4)),
         _naming("'radius'", lambda c: c["input"]["spec"].update(radius=1.0)),
+        # The sample is taken; h^4 of its mean spacing is beyond the double range.
+        _naming("puts h^4 outside the normal double range",
+                lambda c: c["input"]["spec"].update(scale=1e110)),
     ],
 )
 def test_cli_evolve_bad_config(tmp_path, mutate):
@@ -1356,7 +1380,7 @@ def test_module_entry_point():
 _PUBLIC_NAMES = [
     "AmbiguousTurning", "AnalyticCurveSpec", "CURVE_DIFFUSION", "Circle",
     "CurveDiffusionError", "CurveFields", "CurveJet", "DegenerateGeometry", "DiscreteCurve",
-    "DomainError", "ELASTIC", "FlowSpec", "FresnelFamily", "HypothesisViolated",
+    "DomainError", "FlowSpec", "FresnelFamily", "HypothesisViolated",
     "Lemniscate", "LifespanBounds", "Line", "MonitorSeries", "NonFinite", "NonRegular",
     "OpenCurve", "QuadratureFailure", "RotatorFit", "SEMI_IMPLICIT", "ScaleFit",
     "ShrinkerFit", "SolitonReport", "SolveFailure", "StationaryFit", "TooFewNodes",
@@ -1365,7 +1389,7 @@ _PUBLIC_NAMES = [
     "elliptic_K", "evolve", "fit_rotator", "fit_scale_profile", "fit_shrinker",
     "fit_stationary", "fit_translator", "frame_position_identity", "hausdorff_distance",
     "isoperimetric_decay_check", "lemniscate_point", "length", "monitors_to_csv",
-    "normal_flux_identity", "normal_velocity", "normalize_shape", "osculating_discs_nested",
+    "normal_flux_identity", "normalize_shape", "osculating_discs_nested",
     "read_curve_csv", "report_to_dict", "resample_uniform", "sample_analytic",
     "segment_lengths", "signed_area", "spec_from_dict", "spec_to_dict", "time_bounds",
     "winding_number", "write_curve_csv", "write_monitors_csv", "write_run_directory",
